@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.core.replay import clear_shadow_memo
 from repro.core.simulator import simulate, simulate_traced
 from repro.core.sweep import run_cache_sweep
 from repro.cpu.functional import run_functional
@@ -200,6 +201,12 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
     on, min-of-N wall time), checks the cycle counts agree, publishes
     the per-config table to ``benchmarks/results/warm_replay.txt``, and
     enforces the headline claim: >= 2x on the loop-dominated runs.
+
+    The replay engine's shadow memo is process-wide, so it is cleared
+    before every timed run: the per-config rows (and the gate) measure
+    a cold memo.  One extra row times a pass over all configs in one
+    process with the memo carried from each config to the next, as a
+    serial sweep runs them.
     """
     rounds = 3
 
@@ -207,6 +214,7 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
         best = float("inf")
         cycles = 0
         for _ in range(rounds):
+            clear_shadow_memo()
             start = time.perf_counter()
             result = simulate(config, context.program, skip=True, replay=replay)
             best = min(best, time.perf_counter() - start)
@@ -229,6 +237,17 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
         rows.append((name, on_cycles, on_seconds, off_seconds))
 
     speedup = total_off / total_on
+
+    configs = [factory() for _name, factory in sorted(_REPLAY_CONFIGS.items())]
+    warm_pass = float("inf")
+    for _ in range(rounds):
+        clear_shadow_memo()
+        start = time.perf_counter()
+        for config in configs:
+            simulate(config, context.program, skip=True, replay=True)
+        warm_pass = min(warm_pass, time.perf_counter() - start)
+    clear_shadow_memo()
+
     lines = [
         "Steady-state loop replay: wall-clock vs the idle-skip engine",
         f"(workload scale {context.scale}, min of {rounds} runs per cell)",
@@ -241,9 +260,13 @@ def test_warm_replay_speedup(context, benchmark, results_dir):
             f"{name:<26} {cycles:>10} {on_seconds:>9.3f}s {off_seconds:>10.3f}s "
             f"{off_seconds / on_seconds:>7.2f}x"
         )
+    lines.append(
+        f"{'all, memo warm across':<26} {'':>10} {warm_pass:>9.3f}s "
+        f"{total_off:>10.3f}s {total_off / warm_pass:>7.2f}x"
+    )
     lines += [
         "",
-        f"loop-dominated overall speedup: {speedup:.2f}x (target >= 2x)",
+        f"loop-dominated overall speedup: {speedup:.2f}x, cold memo (target >= 2x)",
     ]
     text = "\n".join(lines) + "\n"
     print(f"\n{text}")

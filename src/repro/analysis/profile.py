@@ -191,6 +191,10 @@ class EngineLoopProfile:
     signature_restarts: int
     signature_mismatches: int
     divergences: int
+    #: replayed iterations whose functional result came from the
+    #: process-wide shadow memo, and those that ran the shadow pass
+    shadow_memo_hits: int
+    shadow_memo_misses: int
 
     @property
     def live_cycles(self) -> int | None:
@@ -212,6 +216,8 @@ class EngineProfileReport:
     total_cycles: int
     replayed_cycles: int
     replayed_iterations: int
+    shadow_memo_hits: int
+    shadow_memo_misses: int
     loops: list[EngineLoopProfile]
 
     @property
@@ -230,7 +236,8 @@ def profile_engine(
     tracked is mapped back to its benchmark loop, with live vs replayed
     iteration and cycle counts plus the signature-match statistics
     (verify failures, restarts, mismatches, divergences) that explain
-    why a loop did or did not engage.
+    why a loop did or did not engage, and the shadow-memo hits and
+    misses of its replayed iterations.
     """
     region_map = _RegionMap(regions)
     simulator = Simulator(config, program, replay=True)
@@ -249,6 +256,8 @@ def profile_engine(
             signature_restarts=report["signature_restarts"],
             signature_mismatches=report["signature_mismatches"],
             divergences=report["divergences"],
+            shadow_memo_hits=report["shadow_memo_hits"],
+            shadow_memo_misses=report["shadow_memo_misses"],
         )
         for report in controller.loop_reports()
     ]
@@ -257,6 +266,8 @@ def profile_engine(
         total_cycles=result.cycles,
         replayed_cycles=controller.replayed_cycles,
         replayed_iterations=controller.replayed_iterations,
+        shadow_memo_hits=controller.shadow_memo_hits,
+        shadow_memo_misses=controller.shadow_memo_misses,
         loops=loops,
     )
 
@@ -266,7 +277,8 @@ def render_engine_profile(report: EngineProfileReport) -> str:
     lines = [
         f"replay engine profile — {report.config.describe()}",
         f"{'loop':<12}{'state':<11}{'live it':>8}{'replay it':>10}"
-        f"{'it cyc':>8}{'replay cyc':>11}{'replayed':>10}",
+        f"{'it cyc':>8}{'replay cyc':>11}{'replayed':>10}"
+        f"{'memo hit':>10}{'memo miss':>10}",
     ]
     for loop in report.loops:
         iteration = loop.iteration_cycles if loop.iteration_cycles else "—"
@@ -274,6 +286,7 @@ def render_engine_profile(report: EngineProfileReport) -> str:
             f"{loop.name:<12}{loop.phase:<11}{loop.live_iterations:>8}"
             f"{loop.replayed_iterations:>10}{iteration:>8}"
             f"{loop.replayed_cycles:>11}{loop.replayed_fraction:>10.1%}"
+            f"{loop.shadow_memo_hits:>10}{loop.shadow_memo_misses:>10}"
         )
         troubles = []
         if loop.verify_failures:
@@ -289,6 +302,7 @@ def render_engine_profile(report: EngineProfileReport) -> str:
     lines.append(
         f"{'total':<12}{'':<11}{'':>8}{report.replayed_iterations:>10}{'':>8}"
         f"{report.replayed_cycles:>11}{report.replayed_cycle_fraction:>10.1%}"
+        f"{report.shadow_memo_hits:>10}{report.shadow_memo_misses:>10}"
     )
     lines.append(
         f"{report.replayed_cycles} of {report.total_cycles} cycles "

@@ -78,6 +78,7 @@ from ..memory.fpu import is_fpu_address
 from ..memory.fpu_timing import TimedFpu
 from ..memory.requests import RequestKind, RequestPriority, acceptance_order
 from ..memory.system import MemorySystem
+from .replay import clear_shadow_memo
 from .scheduler import (
     ENGINE_REVISION,
     IDLE,
@@ -1134,9 +1135,11 @@ def clear_compile_cache(disk: bool = False) -> None:
     """Drop every cached kernel and per-program dispatch table.
 
     All in-process levels clear together — spec-keyed kernels, the
-    shared source/code entries, dispatch tables, and the dispatch
-    module's shared handler memo — so a stale program kernel cannot
-    survive a clear (``tests/test_compiled_engine.py`` pins this).
+    shared source/code entries, dispatch tables, the dispatch
+    module's shared handler memo, and the replay engine's shadow
+    memo — so a stale program kernel cannot survive a clear
+    (``tests/test_compiled_engine.py`` pins this) and a cold sweep
+    pays its own shadow misses.
     The handle on the persistent store is dropped too (a later compile
     re-resolves it against the current environment); pass ``disk=True``
     to also delete the on-disk artifacts themselves.  Fleet-stat
@@ -1149,6 +1152,7 @@ def clear_compile_cache(disk: bool = False) -> None:
     _DISPATCH_CACHE.clear()
     _BUNDLE_STATE.clear()
     clear_dispatch_cache()
+    clear_shadow_memo()
     if disk:
         store = _disk_store()
         if store is not None:

@@ -35,7 +35,33 @@ target:
    a rollback.  On success the shadow's functional state is committed,
    queue entries are rotated through their FIFO chains, all timed
    state is shifted by the iteration's deltas (``replay_shift``), and
-   every counter advances by its recorded delta.
+   every counter advances by its recorded delta (through a plan of the
+   counters that move, built when the loop engages).
+
+   The shadow pass depends on the program, not on the machine config:
+   loads read memory and stores commit at issue, so one pass is a pure
+   function of its entry state, the base-memory words it reads and the
+   recorded instruction stream.  A process-wide **shadow memo** holds
+   each completed pass's functional summary, so the configs of a sweep
+   after the first mostly skip it:
+
+   * *key* — one table per engaged record, found once at engagement
+     from the program's code key (format, entry point, memory size,
+     instruction layout; not its data) and ``record.instrs``; within
+     it, the packed entry state: register and branch banks, the LDQ
+     value chain, the uncommitted store queues, FPU operand A and
+     result queue;
+   * *hit* — every base-memory word in the summary's read set must
+     still hold the value read, else it is a miss; the timing-dependent
+     checks (branch-bank equality, chain and store-queue conservation,
+     ``_check_events``) run on hits and misses alike;
+   * *miss* — the pass runs through the shared specialized handlers of
+     :mod:`repro.cpu.dispatch` when the compiled kernel dispatches
+     through them, else through ``execute``, and its summary is stored;
+   * *cap and lifetime* — summaries are packed 32-bit words, charged
+     with their table keys against :data:`SHADOW_MEMO_MAX_BYTES`;
+     whole programs are evicted, least recently used first, and
+     ``compiled.clear_compile_cache()`` empties the memo.
 
 Byte-identity invariants:
 
@@ -54,17 +80,24 @@ Byte-identity invariants:
   deadlock errors report true architectural cycles.
 
 ``replay=False``, ``--no-replay`` or ``REPRO_NO_REPLAY=1`` disable the
-controller entirely for differential testing.
+controller entirely for differential testing; the shadow memo has no
+switch of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import sys
+import threading
+from array import array
 from collections import deque
 
 from ..asm.program import WORD_BYTES
+from ..cpu.dispatch import instruction_key, shared_handler
 from ..cpu.executor import execute
 from ..cpu.state import ArchState
+from ..isa.registers import NUM_BRANCH_REGISTERS, NUM_VISIBLE_REGISTERS
 from ..memory.fpu import (
     FPU_OPERAND_A,
     FPU_RESULT,
@@ -73,7 +106,14 @@ from ..memory.fpu import (
     is_fpu_address,
 )
 
-__all__ = ["ReplayController", "StatsBook", "machine_signature"]
+__all__ = [
+    "SHADOW_MEMO_MAX_BYTES",
+    "ReplayController",
+    "StatsBook",
+    "clear_shadow_memo",
+    "machine_signature",
+    "shadow_memo_stats",
+]
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +150,10 @@ class StatsBook:
 
     Dataclass-based stats objects are introspected field by field, so a
     newly added counter is picked up automatically — or, if its type is
-    not something the replay engine knows how to delta (``int`` or a
-    ``str -> int`` dict), :class:`StatsBook` raises at construction
-    instead of silently corrupting replayed results.  Plain-attribute
+    not something the replay engine knows how to delta (an ``int``
+    instance attribute or a ``str -> int`` dict), :class:`StatsBook`
+    raises at construction instead of silently corrupting replayed
+    results.  Plain-attribute
     counters (backend, queues, external memory, timed FPU) are listed
     explicitly; ``tests/test_replay_engine.py`` pins those manifests.
 
@@ -134,7 +175,8 @@ class StatsBook:
 
         def add_attr(obj, name: str, label: str) -> None:
             kind = "max" if name in MAX_FIELDS else "add"
-            value = getattr(obj, name)
+            # instance attributes only: apply_plan updates __dict__
+            value = getattr(obj, "__dict__", {}).get(name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise RuntimeError(
                     f"replay cannot account for counter {label!r} of type "
@@ -207,18 +249,41 @@ class StatsBook:
                 return False
         return True
 
+    def plan(self, delta: tuple) -> tuple:
+        """The counters ``delta`` moves, as an :meth:`apply_plan` argument.
+
+        Built once per engaged loop, so every replayed iteration walks
+        only the counters that change rather than the whole ledger.
+        "max" deltas are zero by the engagement precondition and never
+        appear.  Integer counters are plain instance attributes (the
+        constructor rejects anything else), so they are updated through
+        their owner's ``__dict__``.
+        """
+        adds = []
+        dicts = []
+        for (_label, kind, obj, name), d in zip(self._entries, delta):
+            if not d:
+                continue
+            if kind == "add":
+                adds.append((vars(obj), name, d))
+            elif kind == "dict":
+                dicts.append((obj, name, d))
+        return tuple(adds), tuple(dicts)
+
+    @staticmethod
+    def apply_plan(plan: tuple) -> None:
+        """Advance the planned counters by one iteration's delta."""
+        adds, dicts = plan
+        for counters, name, d in adds:
+            counters[name] += d
+        for obj, name, d in dicts:
+            target = getattr(obj, name)
+            for key, dv in d:
+                target[key] = target.get(key, 0) + dv
+
     def apply(self, delta: tuple) -> None:
         """Advance every counter by one iteration's recorded delta."""
-        for (_label, kind, obj, name), d in zip(self._entries, delta):
-            if kind == "add":
-                if d:
-                    setattr(obj, name, getattr(obj, name) + d)
-            elif kind == "dict":
-                if d:
-                    target = getattr(obj, name)
-                    for key, dv in d:
-                        target[key] = target.get(key, 0) + dv
-            # "max" deltas are zero by the engagement precondition
+        self.apply_plan(self.plan(delta))
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +301,10 @@ class _IterationRecord:
         "trace",
         "engageable",
         "sd_count",
+        "push_counts",
+        "plan",
+        "handlers",
+        "memo",
     )
 
     def __init__(self, cycles, seqs, delta, instrs, events, trace, engageable):
@@ -246,7 +315,17 @@ class _IterationRecord:
         self.events = events
         self.trace = trace
         self.engageable = engageable
-        self.sd_count = sum(1 for event in events if event[0] == "sd")
+        kinds = [event[0] for event in events]
+        self.sd_count = kinds.count("sd")
+        #: LAQ, SAQ and SDQ pushes the iteration issues
+        self.push_counts = (kinds.count("laq"), kinds.count("saq"), kinds.count("sdq"))
+        # Resolved once when the loop engages (ReplayController._engage):
+        # the StatsBook plan, the shadow pass's (handler, outcome) pairs
+        # (None: run through ``execute``), and the record's functional
+        # memo table.
+        self.plan = None
+        self.handlers = None
+        self.memo = None
 
     def matches(self, other: "_IterationRecord") -> bool:
         return (
@@ -286,6 +365,8 @@ class _LoopState:
         "replayed",
         "replayed_cycles",
         "divergences",
+        "memo_hits",
+        "memo_misses",
     )
 
     def __init__(self):
@@ -301,10 +382,196 @@ class _LoopState:
         self.replayed = 0
         self.replayed_cycles = 0
         self.divergences = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
 
 
 class _Divergence(Exception):
     """The shadow pass cannot reproduce the recorded iteration."""
+
+
+# ----------------------------------------------------------------------
+# Cross-config functional memo
+# ----------------------------------------------------------------------
+#: Byte budget of the process-wide shadow memo (its key and summary
+#: ``bytes`` objects).  Well above one full-scale Livermore sweep's
+#: working set, so a sweep never evicts; it bounds processes that see
+#: many programs (fuzzing, a long-lived service worker).
+SHADOW_MEMO_MAX_BYTES = 32 << 20
+
+#: words of the packed summary header (see :meth:`_ShadowEnv.pack`)
+_HEADER = 12
+_FPU_KINDS = (None, *sorted(set(TRIGGER_OPERATIONS.values())))
+_FPU_CODES = {kind: code for code, kind in enumerate(_FPU_KINDS)}
+
+
+class _ProgramMemo:
+    """One program's tables, keyed by engaged record instruction stream."""
+
+    __slots__ = ("key", "tables", "nbytes")
+
+    def __init__(self, key: str):
+        self.key = key
+        self.tables: dict[tuple, _Table] = {}
+        self.nbytes = 0
+
+
+class _Table(dict):
+    """``{entry key: summary}`` for one record's instruction stream.
+
+    ``owner`` is the program memo charged for it, or ``None`` once
+    evicted (or when the budget could not take it): a detached table
+    is empty and refuses stores, so its controller simply misses.
+    """
+
+    __slots__ = ("owner",)
+
+
+#: program code key -> its memo, least recently resolved first
+_MEMO: dict[str, _ProgramMemo] = {}
+_MEMO_BYTES = 0
+#: guards the compound updates of the two above: a service in thread
+#: mode runs several simulators in one process
+_MEMO_LOCK = threading.Lock()
+
+
+def _program_key(program) -> str:
+    """The program identity the memo is keyed by: its code, not its data.
+
+    Format, entry point, memory size (the shadow pass's bounds checks
+    depend on it) and instruction layout.  Data words are left out on
+    purpose: every base-memory word a shadow pass reads is checked
+    again on each hit, so the same code over other arrays shares one
+    memo and simply misses where the data differ.
+    """
+    h = hashlib.sha256()
+    h.update(f"{program.fmt.value}:{program.entry_point}:{program.memory_size}".encode())
+    for address, instruction in program.layout:
+        h.update(f";{address}:{instruction_key(instruction)}".encode())
+    return h.hexdigest()
+
+
+def _evict(memo: _ProgramMemo) -> None:
+    """Drop one whole program (caller holds ``_MEMO_LOCK``)."""
+    global _MEMO_BYTES
+    del _MEMO[memo.key]
+    _MEMO_BYTES -= memo.nbytes
+    for table in memo.tables.values():
+        table.clear()
+        table.owner = None
+    memo.tables.clear()
+    memo.nbytes = 0
+
+
+def _charge(memo: _ProgramMemo, size: int) -> bool:
+    """Account ``size`` more bytes to ``memo``, evicting least recently
+    used programs to fit; ``False`` if ``memo`` alone would overflow
+    the budget (caller holds ``_MEMO_LOCK``)."""
+    global _MEMO_BYTES
+    while _MEMO_BYTES + size > SHADOW_MEMO_MAX_BYTES:
+        oldest = next(iter(_MEMO.values()))
+        if oldest is memo:
+            return False
+        _evict(oldest)
+    memo.nbytes += size
+    _MEMO_BYTES += size
+    return True
+
+
+def _memo_table(program_key: str, instrs: tuple) -> _Table:
+    """The memo table of one engaged record's instruction stream.
+
+    The stream itself is the table's key, charged to the budget.
+    """
+    with _MEMO_LOCK:
+        memo = _MEMO.pop(program_key, None)
+        if memo is None:
+            memo = _ProgramMemo(program_key)
+        _MEMO[program_key] = memo
+        table = memo.tables.get(instrs)
+        if table is None:
+            table = _Table()
+            table.owner = None
+            size = sys.getsizeof(instrs) + sum(map(sys.getsizeof, instrs))
+            if _charge(memo, size):
+                table.owner = memo
+                memo.tables[instrs] = table
+            elif not memo.tables:
+                del _MEMO[program_key]
+    return table
+
+
+def _memo_put(table: _Table, key: bytes, summary: bytes) -> None:
+    """Store one summary if the budget allows."""
+    size = sys.getsizeof(key) + sys.getsizeof(summary)
+    with _MEMO_LOCK:
+        memo = table.owner
+        if memo is None:
+            return
+        old = table.get(key)
+        if old is not None:
+            size -= sys.getsizeof(key) + sys.getsizeof(old)
+        if _charge(memo, size):
+            table[key] = summary
+
+
+def clear_shadow_memo() -> None:
+    """Forget every memoized shadow iteration (``clear_compile_cache``
+    calls this, so a cold sweep pays its own misses)."""
+    with _MEMO_LOCK:
+        for memo in list(_MEMO.values()):
+            _evict(memo)
+
+
+def shadow_memo_stats() -> dict:
+    """Size of the process-wide shadow memo."""
+    with _MEMO_LOCK:
+        tables = [table for memo in _MEMO.values() for table in memo.tables.values()]
+        return {
+            "programs": len(_MEMO),
+            "tables": len(tables),
+            "entries": sum(len(table) for table in tables),
+            "bytes": _MEMO_BYTES,
+        }
+
+
+def _entry_key(real: ArchState, engine) -> bytes | None:
+    """Packed iteration-entry state: everything a shadow pass reads
+    besides base memory (``None`` if a value is not a 32-bit word).
+
+    The banks, the LDQ value chain, the uncommitted store queues and
+    the semantic FPU's operand A and result queue.
+    """
+    ldq = engine.ldq._items
+    flights = engine._in_flight_loads
+    laq = engine.laq._items
+    pending_addrs = engine._uncommitted_addresses
+    pending_data = engine._uncommitted_data
+    core = engine.fpu_core
+    results = core._results
+    try:
+        words = array(
+            "I",
+            (
+                len(ldq) + len(flights) + len(laq),
+                len(pending_addrs),
+                len(pending_data),
+                len(results),
+                core._operand_a,
+            ),
+        )
+        words.extend(real._foreground)
+        words.extend(real._background)
+        words.extend(real._branch)
+        words.extend(ldq)
+        words.extend([flight.value for flight in flights])
+        words.extend([entry.value for entry in laq])
+        words.extend(pending_addrs)
+        words.extend(pending_data)
+        words.extend(results)
+    except (OverflowError, TypeError):
+        return None
+    return words.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -319,12 +586,14 @@ class _ShadowEnv:
     served from the FIFO *value chain* (current LDQ contents, then
     in-flight load values, then LAQ entry values, then loads pushed by
     this very iteration — exactly the order the live machine would pop
-    them in).
+    them in).  ``reads`` logs each base-memory word read (address,
+    value), which is all a memo hit must re-check.
     """
 
     __slots__ = (
         "memory",
         "overlay",
+        "reads",
         "chain",
         "unc_addrs",
         "unc_data",
@@ -340,6 +609,7 @@ class _ShadowEnv:
     def __init__(self, engine):
         self.memory = engine.memory
         self.overlay: dict[int, int] = {}
+        self.reads: list[int] = []
         self.chain: deque[int] = deque(engine.ldq._items)
         self.chain.extend(flight.value for flight in engine._in_flight_loads)
         self.chain.extend(entry.value for entry in engine.laq)
@@ -353,6 +623,111 @@ class _ShadowEnv:
         self.laq_pushes: list[int] = []
         self.saq_pushes: list[int] = []
         self.sdq_pushes: list[int] = []
+
+    # -- memo summary -----------------------------------------------------
+    def pack(self, shadow: ArchState) -> bytes | None:
+        """Functional summary of this completed pass, as 32-bit words.
+
+        A header of counts, then the read set, the exit banks, the
+        overlay writes, the exit value chain and store queues, the FPU
+        operand and results, and the LAQ/SAQ/SDQ push streams.
+        ``None`` if a value does not fit a word (never memoized).
+        """
+        try:
+            words = array(
+                "I",
+                (
+                    len(self.reads) // 2,
+                    len(self.overlay),
+                    len(self.chain),
+                    len(self.unc_addrs),
+                    len(self.unc_data),
+                    len(self.fpu_results),
+                    len(self.laq_pushes),
+                    len(self.saq_pushes),
+                    len(self.sdq_pushes),
+                    self.fpu_ops,
+                    _FPU_CODES[self.fpu_last],
+                    self.fpu_operand_a,
+                ),
+            )
+            words.extend(self.reads)
+            words.extend(shadow._foreground)
+            words.extend(shadow._background)
+            words.extend(shadow._branch)
+            for address, value in self.overlay.items():
+                words.append(address)
+                words.append(value)
+            words.extend(self.chain)
+            words.extend(self.unc_addrs)
+            words.extend(self.unc_data)
+            words.extend(self.fpu_results)
+            words.extend(self.laq_pushes)
+            words.extend(self.saq_pushes)
+            words.extend(self.sdq_pushes)
+        except (OverflowError, TypeError):
+            return None
+        return words.tobytes()
+
+    @classmethod
+    def unpack(cls, summary: bytes, memory, shadow: ArchState) -> "_ShadowEnv | None":
+        """Rebuild a pass from its summary, or ``None`` if any word of
+        its read set differs in ``memory`` now.
+
+        Loads ``shadow`` with the exit banks, exactly as the pass itself
+        would have left them.
+        """
+        words = array("I")
+        words.frombytes(summary)
+        (
+            n_reads,
+            n_overlay,
+            n_chain,
+            n_unc_addrs,
+            n_unc_data,
+            n_results,
+            n_laq,
+            n_saq,
+            n_sdq,
+            fpu_ops,
+            fpu_code,
+            operand_a,
+        ) = words[:_HEADER]
+        i = _HEADER
+        end = i + 2 * n_reads
+        while i < end:
+            address = words[i]
+            value = int.from_bytes(memory[address : address + WORD_BYTES], "little")
+            if value != words[i + 1]:
+                return None
+            i += 2
+        shadow._foreground[:] = words[i : i + NUM_VISIBLE_REGISTERS]
+        i += NUM_VISIBLE_REGISTERS
+        shadow._background[:] = words[i : i + NUM_VISIBLE_REGISTERS]
+        i += NUM_VISIBLE_REGISTERS
+        shadow._branch[:] = words[i : i + NUM_BRANCH_REGISTERS]
+        i += NUM_BRANCH_REGISTERS
+        env = cls.__new__(cls)
+        pairs = iter(words[i : i + 2 * n_overlay])
+        env.overlay = dict(zip(pairs, pairs))
+        i += 2 * n_overlay
+        env.chain = deque(words[i : i + n_chain])
+        i += n_chain
+        env.unc_addrs = deque(words[i : i + n_unc_addrs])
+        i += n_unc_addrs
+        env.unc_data = deque(words[i : i + n_unc_data])
+        i += n_unc_data
+        env.fpu_results = deque(words[i : i + n_results])
+        i += n_results
+        env.laq_pushes = words[i : i + n_laq]
+        i += n_laq
+        env.saq_pushes = words[i : i + n_saq]
+        i += n_saq
+        env.sdq_pushes = words[i : i + n_sdq]
+        env.fpu_operand_a = operand_a
+        env.fpu_ops = fpu_ops
+        env.fpu_last = _FPU_KINDS[fpu_code]
+        return env
 
     # -- functional memory ------------------------------------------------
     def _check(self, address: int) -> None:
@@ -370,7 +745,9 @@ class _ShadowEnv:
         value = self.overlay.get(address)
         if value is not None:
             return value
-        return int.from_bytes(self.memory[address : address + WORD_BYTES], "little")
+        value = int.from_bytes(self.memory[address : address + WORD_BYTES], "little")
+        self.reads += (address, value)
+        return value
 
     def _write(self, address: int, value: int) -> None:
         self._check(address)
@@ -447,6 +824,12 @@ class ReplayController:
         self._engine_buf: list = []
         self._trace_buf: list = []
         self._shadow_arch = ArchState()
+        #: run shadow misses through the shared specialized handlers;
+        #: :meth:`Simulator.run` sets it exactly when the compiled
+        #: kernel dispatches through them, so ``REPRO_NO_COMPILED``
+        #: (and ``REPRO_NO_SPECIALIZE_DISPATCH``) compile nothing here
+        self.use_handlers = False
+        self._program_key: str | None = None
 
     # ------------------------------------------------------------------
     # Entry point from the run loop
@@ -603,13 +986,31 @@ class ReplayController:
             state.phase = _DEAD if state.restarts > self.RESTART_LIMIT else _RECORD
             return
         if state.candidate.matches(record) and record.engageable:
-            state.record = record
-            state.phase = _ENGAGED
+            self._engage(state, record)
             return
         state.fails += 1
         state.candidate = record
         if state.fails >= self.VERIFY_LIMIT:
             state.phase = _DEAD
+
+    def _engage(self, state: _LoopState, record: _IterationRecord) -> None:
+        """Engage a verified record, resolving its per-record replay inputs.
+
+        This is the only place ``record.instrs`` is hashed (to find its
+        memo table); each replayed iteration then costs one entry-key
+        lookup.
+        """
+        record.plan = self.book.plan(record.delta)
+        if self.use_handlers:
+            record.handlers = tuple(
+                (shared_handler(instruction), outcome)
+                for _tag, _pc, instruction, outcome in record.instrs
+            )
+        if self._program_key is None:
+            self._program_key = _program_key(self.sim.program)
+        record.memo = _memo_table(self._program_key, record.instrs)
+        state.record = record
+        state.phase = _ENGAGED
 
     # ------------------------------------------------------------------
     # Replay
@@ -622,7 +1023,7 @@ class ReplayController:
         cycles = record.cycles
         replayed = 0
         while now + cycles <= max_cycles:
-            env = self._shadow_iteration(record)
+            env = self._shadow_iteration(state, record)
             if env is None:
                 state.divergences += 1
                 break
@@ -635,10 +1036,14 @@ class ReplayController:
         state.replayed_cycles += replayed * cycles
         return now
 
-    def _shadow_iteration(self, record: _IterationRecord):
+    def _shadow_iteration(self, state: _LoopState, record: _IterationRecord):
         """Functionally execute one iteration off to the side.
 
-        Returns the shadow environment on success, ``None`` on any
+        The functional result comes from the memo when this entry state
+        was seen before and every base-memory word it read still holds
+        the same value; otherwise from a full shadow pass, whose summary
+        is then memoized.  The timing-dependent checks below run either
+        way.  Returns the shadow environment on success, ``None`` on any
         divergence from the recorded iteration (in which case nothing
         was mutated and live simulation can resume at the boundary).
         """
@@ -646,19 +1051,23 @@ class ReplayController:
         engine = sim.engine
         real = sim.backend.state
         shadow = self._shadow_arch
-        shadow._foreground[:] = real._foreground
-        shadow._background[:] = real._background
-        shadow._branch[:] = real._branch
-        env = _ShadowEnv(engine)
-        try:
-            for _tag, _pc, instruction, rec_outcome in record.instrs:
-                if execute(instruction, shadow, env) != rec_outcome:
-                    return None
-        except _Divergence:
-            return None
-        except (ValueError, IndexError, RuntimeError):
-            # Live execution would raise for real; let it.
-            return None
+        table = record.memo
+        key = _entry_key(real, engine)
+        summary = table.get(key) if key is not None else None
+        env = None
+        if summary is not None:
+            env = _ShadowEnv.unpack(summary, engine.memory, shadow)
+        if env is not None:
+            state.memo_hits += 1
+        else:
+            state.memo_misses += 1
+            env = self._shadow_pass(record, real, engine)
+            if env is None:
+                return None
+            if key is not None:
+                summary = env.pack(shadow)
+                if summary is not None:
+                    _memo_put(table, key, summary)
         if shadow._branch != real._branch:
             # A data-dependent branch-register write: the next
             # iteration would redirect elsewhere.
@@ -677,6 +1086,34 @@ class ReplayController:
             return None
         return env
 
+    def _shadow_pass(self, record: _IterationRecord, real: ArchState, engine):
+        """Run the recorded instruction stream against shadow state.
+
+        Returns the environment of a completed pass, ``None`` when an
+        outcome differs from the record or the pass diverges.
+        """
+        shadow = self._shadow_arch
+        shadow._foreground[:] = real._foreground
+        shadow._background[:] = real._background
+        shadow._branch[:] = real._branch
+        env = _ShadowEnv(engine)
+        try:
+            handlers = record.handlers
+            if handlers is not None:
+                for handler, rec_outcome in handlers:
+                    if handler(shadow, env) != rec_outcome:
+                        return None
+            else:
+                for _tag, _pc, instruction, rec_outcome in record.instrs:
+                    if execute(instruction, shadow, env) != rec_outcome:
+                        return None
+        except _Divergence:
+            return None
+        except (ValueError, IndexError, RuntimeError):
+            # Live execution would raise for real; let it.
+            return None
+        return env
+
     def _check_events(self, record: _IterationRecord, env: _ShadowEnv) -> bool:
         """Validate the shadow pass against the recorded event stream.
 
@@ -686,52 +1123,40 @@ class ReplayController:
         results).  Store departures are interleaved in recorded order
         to reconstruct the SAQ contents each load saw.
         """
-        shadow_saq = deque(entry.address for entry in self.sim.engine.saq)
         laq_pushes = env.laq_pushes
         saq_pushes = env.saq_pushes
-        i_laq = i_saq = i_sdq = 0
+        if (len(laq_pushes), len(saq_pushes), len(env.sdq_pushes)) != record.push_counts:
+            return False
+        # Equal counts: each push stream is consumed exactly once below.
+        loads = iter(laq_pushes)
+        stores = iter(saq_pushes)
+        shadow_saq = deque(entry.address for entry in self.sim.engine.saq)
         for event in record.events:
             kind = event[0]
             if kind == "laq":
-                if i_laq >= len(laq_pushes):
-                    return False
-                address = laq_pushes[i_laq]
-                i_laq += 1
+                address = next(loads)
                 fpu = event[2]
-                if is_fpu_address(address):
-                    if address != fpu:
+                if fpu is None:
+                    if is_fpu_address(address):
                         return False
-                elif fpu is not None:
+                elif address != fpu:
                     return False
-                hazards = 0
-                for pending in shadow_saq:
-                    if pending == address:
-                        hazards += 1
-                if hazards != event[3]:
+                if shadow_saq.count(address) != event[3]:
                     return False
             elif kind == "saq":
-                if i_saq >= len(saq_pushes):
-                    return False
-                address = saq_pushes[i_saq]
-                i_saq += 1
+                address = next(stores)
                 fpu = event[2]
-                if is_fpu_address(address):
-                    if address != fpu:
+                if fpu is None:
+                    if is_fpu_address(address):
                         return False
-                elif fpu is not None:
+                elif address != fpu:
                     return False
                 shadow_saq.append(address)
-            elif kind == "sdq":
-                i_sdq += 1
-            else:  # "sd"
+            elif kind == "sd":
                 if not shadow_saq:
                     return False
                 shadow_saq.popleft()
-        return (
-            i_laq == len(laq_pushes)
-            and i_saq == len(saq_pushes)
-            and i_sdq == len(env.sdq_pushes)
-        )
+        return True
 
     def _commit(self, record: _IterationRecord, env: _ShadowEnv) -> None:
         """Adopt one confirmed shadow iteration into the live machine."""
@@ -793,7 +1218,7 @@ class ReplayController:
         backend.replay_shift(cycles, seqs)
         sim.seq.value += seqs
         # All counters advance arithmetically by the recorded deltas.
-        self.book.apply(record.delta)
+        self.book.apply_plan(record.plan)
 
     def _emit_batch(self, batch: tuple, base: int) -> None:
         """Re-emit a recorded trace batch shifted to this iteration."""
@@ -828,6 +1253,8 @@ class ReplayController:
                     "signature_restarts": state.restarts,
                     "signature_mismatches": state.sig_mismatches,
                     "divergences": state.divergences,
+                    "shadow_memo_hits": state.memo_hits,
+                    "shadow_memo_misses": state.memo_misses,
                 }
             )
         reports.sort(key=lambda r: r["replayed_cycles"], reverse=True)
@@ -840,3 +1267,11 @@ class ReplayController:
     @property
     def replayed_iterations(self) -> int:
         return sum(state.replayed for state in self.loops.values())
+
+    @property
+    def shadow_memo_hits(self) -> int:
+        return sum(state.memo_hits for state in self.loops.values())
+
+    @property
+    def shadow_memo_misses(self) -> int:
+        return sum(state.memo_misses for state in self.loops.values())

@@ -53,6 +53,7 @@ __all__ = [
     "record_bundle_store",
     "reset_dispatch_codegen_stats",
     "serialize_handlers",
+    "shared_handler",
 ]
 
 _MASK = "4294967295"  #: 32-bit wrap mask, folded into handler source
@@ -356,6 +357,20 @@ def install_handler_bundle(entries: dict[str, dict]) -> int:
         installed += 1
     _DISK_HITS += installed
     return installed
+
+
+def shared_handler(instruction: Instruction):
+    """The process-wide memoized handler for one instruction value.
+
+    The replay engine's shadow pass resolves a recorded iteration's
+    handlers through here once per engaged loop; the compiled kernel
+    that issued those instructions live has normally compiled them
+    already, so this is a plain memo read.
+    """
+    handler = _SHARED_HANDLERS.get(instruction)
+    if handler is None:
+        handler = _compile_handler(instruction)
+    return handler
 
 
 def shared_handler_count() -> int:
