@@ -187,6 +187,9 @@ class EngineLoopProfile:
     replayed_iterations: int
     iteration_cycles: int | None
     replayed_cycles: int
+    #: replay bursts: each runs from one signature match to its loop
+    #: exit, divergence or ``max_cycles``
+    bursts: int
     verify_failures: int
     signature_restarts: int
     signature_mismatches: int
@@ -209,6 +212,10 @@ class EngineLoopProfile:
         total = self.live_iterations + self.replayed_iterations
         return self.replayed_iterations / total if total else 0.0
 
+    @property
+    def iterations_per_burst(self) -> float:
+        return self.replayed_iterations / self.bursts if self.bursts else 0.0
+
 
 @dataclass
 class EngineProfileReport:
@@ -216,6 +223,7 @@ class EngineProfileReport:
     total_cycles: int
     replayed_cycles: int
     replayed_iterations: int
+    bursts: int
     shadow_memo_hits: int
     shadow_memo_misses: int
     loops: list[EngineLoopProfile]
@@ -223,6 +231,10 @@ class EngineProfileReport:
     @property
     def replayed_cycle_fraction(self) -> float:
         return self.replayed_cycles / self.total_cycles if self.total_cycles else 0.0
+
+    @property
+    def iterations_per_burst(self) -> float:
+        return self.replayed_iterations / self.bursts if self.bursts else 0.0
 
 
 def profile_engine(
@@ -252,6 +264,7 @@ def profile_engine(
             replayed_iterations=report["replayed_iterations"],
             iteration_cycles=report["iteration_cycles"],
             replayed_cycles=report["replayed_cycles"],
+            bursts=report["bursts"],
             verify_failures=report["verify_failures"],
             signature_restarts=report["signature_restarts"],
             signature_mismatches=report["signature_mismatches"],
@@ -266,6 +279,7 @@ def profile_engine(
         total_cycles=result.cycles,
         replayed_cycles=controller.replayed_cycles,
         replayed_iterations=controller.replayed_iterations,
+        bursts=controller.bursts,
         shadow_memo_hits=controller.shadow_memo_hits,
         shadow_memo_misses=controller.shadow_memo_misses,
         loops=loops,
@@ -277,7 +291,7 @@ def render_engine_profile(report: EngineProfileReport) -> str:
     lines = [
         f"replay engine profile — {report.config.describe()}",
         f"{'loop':<12}{'state':<11}{'live it':>8}{'replay it':>10}"
-        f"{'it cyc':>8}{'replay cyc':>11}{'replayed':>10}"
+        f"{'it cyc':>8}{'replay cyc':>11}{'replayed':>10}{'it/burst':>9}"
         f"{'memo hit':>10}{'memo miss':>10}",
     ]
     for loop in report.loops:
@@ -286,6 +300,7 @@ def render_engine_profile(report: EngineProfileReport) -> str:
             f"{loop.name:<12}{loop.phase:<11}{loop.live_iterations:>8}"
             f"{loop.replayed_iterations:>10}{iteration:>8}"
             f"{loop.replayed_cycles:>11}{loop.replayed_fraction:>10.1%}"
+            f"{loop.iterations_per_burst:>9.1f}"
             f"{loop.shadow_memo_hits:>10}{loop.shadow_memo_misses:>10}"
         )
         troubles = []
@@ -302,6 +317,7 @@ def render_engine_profile(report: EngineProfileReport) -> str:
     lines.append(
         f"{'total':<12}{'':<11}{'':>8}{report.replayed_iterations:>10}{'':>8}"
         f"{report.replayed_cycles:>11}{report.replayed_cycle_fraction:>10.1%}"
+        f"{report.iterations_per_burst:>9.1f}"
         f"{report.shadow_memo_hits:>10}{report.shadow_memo_misses:>10}"
     )
     lines.append(

@@ -25,18 +25,25 @@ target:
    return the machine to the same signature.  Only then is the loop
    **engaged**.
 3. **Replay.**  On each further signature match the controller replays
-   iterations arithmetically: a *shadow functional pass* re-executes
-   the recorded instruction stream against copies of the register
-   banks, a memory-write overlay, and the FIFO value chain of the load
-   queues, checking every timing-relevant data dependence (branch
-   outcomes, FPU-window addresses, store/load ordering-hazard counts).
-   If anything differs the shadow is discarded and live simulation
-   resumes from the untouched boundary state — divergence never needs
-   a rollback.  On success the shadow's functional state is committed,
-   queue entries are rotated through their FIFO chains, all timed
-   state is shifted by the iteration's deltas (``replay_shift``), and
-   every counter advances by its recorded delta (through a plan of the
-   counters that move, built when the loop engages).
+   a *burst* of iterations arithmetically.  Its only functional state is
+   the packed *entry key* of the next iteration: the register and
+   branch banks, the LDQ value chain, the uncommitted store queues, FPU
+   operand A and result queue.  A counter-silent *shadow functional
+   pass* re-executes the recorded instruction stream from the key
+   against a memory-write overlay; its packed summary ends in the exit
+   state in the key's own layout, so the next key is the summary's
+   tail.  An iteration is adopted only once it passes every check
+   (push counts, chain and store-queue conservation, branch-bank
+   equality, FPU-window addresses, store/load ordering-hazard counts):
+   its writes land in memory, the carried LAQ/SAQ/SDQ tails advance and
+   its trace batch is emitted.  The rest of the live machine is written
+   once, when the burst ends (loop exit, divergence, ``max_cycles``):
+   the final key is decoded into banks, queues and FPU core, timed
+   state is shifted by k iterations' deltas (``replay_shift`` is
+   additive) and every counter by k times its recorded delta (through
+   a plan of the counters that move, built when the loop engages).  A
+   divergence at iteration k+1 thus leaves exactly k iterations committed
+   and live simulation resumes there — it never needs a rollback.
 
    The shadow pass depends on the program, not on the machine config:
    loads read memory and stores commit at issue, so one pass is a pure
@@ -48,16 +55,15 @@ target:
    * *key* — one table per engaged record, found once at engagement
      from the program's code key (format, entry point, memory size,
      instruction layout; not its data) and ``record.instrs``; within
-     it, the packed entry state: register and branch banks, the LDQ
-     value chain, the uncommitted store queues, FPU operand A and
-     result queue;
+     it, the entry key;
    * *hit* — every base-memory word in the summary's read set must
      still hold the value read, else it is a miss; the timing-dependent
      checks (branch-bank equality, chain and store-queue conservation,
      ``_check_events``) run on hits and misses alike;
-   * *miss* — the pass runs through the shared specialized handlers of
-     :mod:`repro.cpu.dispatch` when the compiled kernel dispatches
-     through them, else through ``execute``, and its summary is stored;
+   * *miss* — the pass, seeded from the key alone, runs through the
+     shared specialized handlers of :mod:`repro.cpu.dispatch` when the
+     compiled kernel dispatches through them, else through ``execute``,
+     and its summary is stored;
    * *cap and lifetime* — summaries are packed 32-bit words, charged
      with their table keys against :data:`SHADOW_MEMO_MAX_BYTES`;
      whole programs are evicted, least recently used first, and
@@ -92,6 +98,7 @@ import sys
 import threading
 from array import array
 from collections import deque
+from struct import pack_into, unpack_from
 
 from ..asm.program import WORD_BYTES
 from ..cpu.dispatch import instruction_key, shared_handler
@@ -271,15 +278,18 @@ class StatsBook:
         return tuple(adds), tuple(dicts)
 
     @staticmethod
-    def apply_plan(plan: tuple) -> None:
-        """Advance the planned counters by one iteration's delta."""
+    def apply_plan(plan: tuple, k: int = 1) -> None:
+        """Advance the planned counters by ``k`` iterations' deltas.
+
+        Deltas are integers, so one call with ``k`` equals ``k`` calls.
+        """
         adds, dicts = plan
         for counters, name, d in adds:
-            counters[name] += d
+            counters[name] += k * d
         for obj, name, d in dicts:
             target = getattr(obj, name)
             for key, dv in d:
-                target[key] = target.get(key, 0) + dv
+                target[key] = target.get(key, 0) + k * dv
 
     def apply(self, delta: tuple) -> None:
         """Advance every counter by one iteration's recorded delta."""
@@ -314,11 +324,16 @@ class _IterationRecord:
         self.instrs = instrs
         self.events = events
         self.trace = trace
-        self.engageable = engageable
         kinds = [event[0] for event in events]
         self.sd_count = kinds.count("sd")
         #: LAQ, SAQ and SDQ pushes the iteration issues
         self.push_counts = (kinds.count("laq"), kinds.count("saq"), kinds.count("sdq"))
+        # A burst carries each store queue as its last ``len`` pushes,
+        # so pushes must equal departures.  The signature pins every
+        # queue's per-entry seqs, so a genuine record always passes.
+        self.engageable = engageable and (
+            self.push_counts[1] == self.push_counts[2] == self.sd_count
+        )
         # Resolved once when the loop engages (ReplayController._engage):
         # the StatsBook plan, the shadow pass's (handler, outcome) pairs
         # (None: run through ``execute``), and the record's functional
@@ -364,6 +379,7 @@ class _LoopState:
         "recorded",
         "replayed",
         "replayed_cycles",
+        "bursts",
         "divergences",
         "memo_hits",
         "memo_misses",
@@ -381,6 +397,7 @@ class _LoopState:
         self.recorded = 0
         self.replayed = 0
         self.replayed_cycles = 0
+        self.bursts = 0
         self.divergences = 0
         self.memo_hits = 0
         self.memo_misses = 0
@@ -400,7 +417,14 @@ class _Divergence(Exception):
 SHADOW_MEMO_MAX_BYTES = 32 << 20
 
 #: words of the packed summary header (see :meth:`_ShadowEnv.pack`)
-_HEADER = 12
+_HEADER = 7
+#: byte slices of an entry key (see :func:`_pack_state`): the value
+#: chain and store queue lengths, conserved by every iteration, and the
+#: branch bank
+_WORD = array("I").itemsize
+_CONSERVED = slice(0, 3 * _WORD)
+_BRANCH_AT = 5 + 2 * NUM_VISIBLE_REGISTERS
+_BRANCH = slice(_BRANCH_AT * _WORD, (_BRANCH_AT + NUM_BRANCH_REGISTERS) * _WORD)
 _FPU_KINDS = (None, *sorted(set(TRIGGER_OPERATIONS.values())))
 _FPU_CODES = {kind: code for code, kind in enumerate(_FPU_KINDS)}
 
@@ -535,43 +559,67 @@ def shadow_memo_stats() -> dict:
         }
 
 
-def _entry_key(real: ArchState, engine) -> bytes | None:
-    """Packed iteration-entry state: everything a shadow pass reads
-    besides base memory (``None`` if a value is not a 32-bit word).
+def _pack_state(prefix, arch: ArchState, chain, addrs, data, operand_a, results):
+    """``prefix`` followed by one iteration-boundary state, as packed
+    32-bit words (every value is one: registers, addresses and store
+    data are masked where they are computed, the rest are memory words
+    and float32 bit patterns).
 
-    The banks, the LDQ value chain, the uncommitted store queues and
-    the semantic FPU's operand A and result queue.
+    The boundary layout is the memo's entry key: the lengths of the LDQ
+    value chain, the uncommitted store addresses and data, and the FPU
+    results; FPU operand A; the register and branch banks; then those
+    four sequences.
     """
-    ldq = engine.ldq._items
-    flights = engine._in_flight_loads
-    laq = engine.laq._items
-    pending_addrs = engine._uncommitted_addresses
-    pending_data = engine._uncommitted_data
-    core = engine.fpu_core
-    results = core._results
-    try:
-        words = array(
-            "I",
-            (
-                len(ldq) + len(flights) + len(laq),
-                len(pending_addrs),
-                len(pending_data),
-                len(results),
-                core._operand_a,
-            ),
-        )
-        words.extend(real._foreground)
-        words.extend(real._background)
-        words.extend(real._branch)
-        words.extend(ldq)
-        words.extend([flight.value for flight in flights])
-        words.extend([entry.value for entry in laq])
-        words.extend(pending_addrs)
-        words.extend(pending_data)
-        words.extend(results)
-    except (OverflowError, TypeError):
-        return None
+    words = array("I", prefix)
+    words.extend((len(chain), len(addrs), len(data), len(results), operand_a))
+    words.extend(arch._foreground)
+    words.extend(arch._background)
+    words.extend(arch._branch)
+    words.extend(chain)
+    words.extend(addrs)
+    words.extend(data)
+    words.extend(results)
     return words.tobytes()
+
+
+def _unpack_state(key: bytes) -> list:
+    """Split an entry key into FPU operand A, the three banks, the value
+    chain, the uncommitted store addresses and data, and the FPU results
+    (each a sequence of ints)."""
+    words = memoryview(key).cast("I")
+    background = 5 + NUM_VISIBLE_REGISTERS
+    i = _BRANCH_AT + NUM_BRANCH_REGISTERS
+    sections = [words[4], words[5:background], words[background:_BRANCH_AT]]
+    sections.append(words[_BRANCH_AT:i])
+    for n in words[:4]:  # the four sequence lengths
+        sections.append(words[i : i + n])
+        i += n
+    return sections
+
+
+def _entry_key(real: ArchState, engine) -> bytes:
+    """Packed iteration-entry state of the live machine: everything a
+    shadow pass reads besides base memory (see :func:`_pack_state`).
+
+    The LDQ value chain is the LDQ, then the in-flight loads, then the
+    LAQ entries: the order the live machine pops them in.
+    """
+    chain = list(engine.ldq._items)
+    chain.extend([flight.value for flight in engine._in_flight_loads])
+    chain.extend([entry.value for entry in engine.laq])
+    pending = (engine._uncommitted_addresses, engine._uncommitted_data)
+    core = engine.fpu_core
+    return _pack_state((), real, chain, *pending, core._operand_a, core._results)
+
+
+def _read_set_holds(words, memory) -> bool:
+    """True when every base-memory word a summary's pass read still
+    holds the value it read (``words``: the summary as 32-bit words)."""
+    for i in range(_HEADER, _HEADER + 2 * words[0], 2):
+        address = words[i]
+        if unpack_from("<I", memory, address)[0] != words[i + 1]:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -581,13 +629,13 @@ class _ShadowEnv:
     """Executor environment for the counter-silent shadow pass.
 
     Mirrors :class:`~repro.cpu.data_engine.DataQueueEngine`'s functional
-    semantics without touching the real engine: memory writes land in
-    an overlay, the semantic FPU is a private copy, and LDQ pops are
-    served from the FIFO *value chain* (current LDQ contents, then
-    in-flight load values, then LAQ entry values, then loads pushed by
-    this very iteration — exactly the order the live machine would pop
-    them in).  ``reads`` logs each base-memory word read (address,
-    value), which is all a memo hit must re-check.
+    semantics without touching the real engine, from an entry key alone:
+    memory writes land in an overlay, the semantic FPU is a private
+    copy, and LDQ pops are served from the FIFO *value chain* (LDQ
+    contents, then in-flight load values, then LAQ entry values, then
+    loads pushed by this very iteration — exactly the order the live
+    machine would pop them in).  ``reads`` logs each base-memory word
+    read (address, value), which is all a memo hit must re-check.
     """
 
     __slots__ = (
@@ -606,18 +654,23 @@ class _ShadowEnv:
         "sdq_pushes",
     )
 
-    def __init__(self, engine):
-        self.memory = engine.memory
+    def __init__(self, key: bytes, memory, shadow: ArchState):
+        """Seed a pass from entry state ``key``, loading its banks into
+        ``shadow``."""
+        operand_a, foreground, background, branch, chain, addrs, data, results = (
+            _unpack_state(key)
+        )
+        shadow._foreground[:] = foreground
+        shadow._background[:] = background
+        shadow._branch[:] = branch
+        self.memory = memory
         self.overlay: dict[int, int] = {}
         self.reads: list[int] = []
-        self.chain: deque[int] = deque(engine.ldq._items)
-        self.chain.extend(flight.value for flight in engine._in_flight_loads)
-        self.chain.extend(entry.value for entry in engine.laq)
-        self.unc_addrs = deque(engine._uncommitted_addresses)
-        self.unc_data = deque(engine._uncommitted_data)
-        core = engine.fpu_core
-        self.fpu_operand_a = core._operand_a
-        self.fpu_results = deque(core._results)
+        self.chain: deque[int] = deque(chain)
+        self.unc_addrs = deque(addrs)
+        self.unc_data = deque(data)
+        self.fpu_operand_a = operand_a
+        self.fpu_results = deque(results)
         self.fpu_ops = 0
         self.fpu_last: str | None = None
         self.laq_pushes: list[int] = []
@@ -625,109 +678,28 @@ class _ShadowEnv:
         self.sdq_pushes: list[int] = []
 
     # -- memo summary -----------------------------------------------------
-    def pack(self, shadow: ArchState) -> bytes | None:
+    def pack(self, shadow: ArchState) -> bytes:
         """Functional summary of this completed pass, as 32-bit words.
 
-        A header of counts, then the read set, the exit banks, the
-        overlay writes, the exit value chain and store queues, the FPU
-        operand and results, and the LAQ/SAQ/SDQ push streams.
-        ``None`` if a value does not fit a word (never memoized).
+        A header of counts, then the read set, the overlay writes and
+        the LAQ/SAQ/SDQ push streams, then the exit state in the entry
+        key's layout: the next iteration's key is the summary's tail.
         """
-        try:
-            words = array(
-                "I",
-                (
-                    len(self.reads) // 2,
-                    len(self.overlay),
-                    len(self.chain),
-                    len(self.unc_addrs),
-                    len(self.unc_data),
-                    len(self.fpu_results),
-                    len(self.laq_pushes),
-                    len(self.saq_pushes),
-                    len(self.sdq_pushes),
-                    self.fpu_ops,
-                    _FPU_CODES[self.fpu_last],
-                    self.fpu_operand_a,
-                ),
-            )
-            words.extend(self.reads)
-            words.extend(shadow._foreground)
-            words.extend(shadow._background)
-            words.extend(shadow._branch)
-            for address, value in self.overlay.items():
-                words.append(address)
-                words.append(value)
-            words.extend(self.chain)
-            words.extend(self.unc_addrs)
-            words.extend(self.unc_data)
-            words.extend(self.fpu_results)
-            words.extend(self.laq_pushes)
-            words.extend(self.saq_pushes)
-            words.extend(self.sdq_pushes)
-        except (OverflowError, TypeError):
-            return None
-        return words.tobytes()
-
-    @classmethod
-    def unpack(cls, summary: bytes, memory, shadow: ArchState) -> "_ShadowEnv | None":
-        """Rebuild a pass from its summary, or ``None`` if any word of
-        its read set differs in ``memory`` now.
-
-        Loads ``shadow`` with the exit banks, exactly as the pass itself
-        would have left them.
-        """
-        words = array("I")
-        words.frombytes(summary)
-        (
-            n_reads,
-            n_overlay,
-            n_chain,
-            n_unc_addrs,
-            n_unc_data,
-            n_results,
-            n_laq,
-            n_saq,
-            n_sdq,
-            fpu_ops,
-            fpu_code,
-            operand_a,
-        ) = words[:_HEADER]
-        i = _HEADER
-        end = i + 2 * n_reads
-        while i < end:
-            address = words[i]
-            value = int.from_bytes(memory[address : address + WORD_BYTES], "little")
-            if value != words[i + 1]:
-                return None
-            i += 2
-        shadow._foreground[:] = words[i : i + NUM_VISIBLE_REGISTERS]
-        i += NUM_VISIBLE_REGISTERS
-        shadow._background[:] = words[i : i + NUM_VISIBLE_REGISTERS]
-        i += NUM_VISIBLE_REGISTERS
-        shadow._branch[:] = words[i : i + NUM_BRANCH_REGISTERS]
-        i += NUM_BRANCH_REGISTERS
-        env = cls.__new__(cls)
-        pairs = iter(words[i : i + 2 * n_overlay])
-        env.overlay = dict(zip(pairs, pairs))
-        i += 2 * n_overlay
-        env.chain = deque(words[i : i + n_chain])
-        i += n_chain
-        env.unc_addrs = deque(words[i : i + n_unc_addrs])
-        i += n_unc_addrs
-        env.unc_data = deque(words[i : i + n_unc_data])
-        i += n_unc_data
-        env.fpu_results = deque(words[i : i + n_results])
-        i += n_results
-        env.laq_pushes = words[i : i + n_laq]
-        i += n_laq
-        env.saq_pushes = words[i : i + n_saq]
-        i += n_saq
-        env.sdq_pushes = words[i : i + n_sdq]
-        env.fpu_operand_a = operand_a
-        env.fpu_ops = fpu_ops
-        env.fpu_last = _FPU_KINDS[fpu_code]
-        return env
+        laq, saq, sdq = self.laq_pushes, self.saq_pushes, self.sdq_pushes
+        words = [len(self.reads) // 2, len(self.overlay), len(laq), len(saq), len(sdq)]
+        words += (self.fpu_ops, _FPU_CODES[self.fpu_last], *self.reads)
+        for pair in self.overlay.items():
+            words += pair
+        words += (*laq, *saq, *sdq)
+        return _pack_state(
+            words,
+            shadow,
+            self.chain,
+            self.unc_addrs,
+            self.unc_data,
+            self.fpu_operand_a,
+            self.fpu_results,
+        )
 
     # -- functional memory ------------------------------------------------
     def _check(self, address: int) -> None:
@@ -791,6 +763,25 @@ class _ShadowEnv:
         self.sdq_pushes.append(value)
         self.unc_data.append(value)
         self._commit_pending()
+
+
+class _Tails:
+    """The LAQ/SAQ addresses and SDQ values a burst carries, plus the
+    current iteration's push streams.
+
+    Each queue loses as many entries as it gains per iteration, so its
+    contents are the last ``len`` pushes: a bounded deque extended by
+    each adopted iteration.  ``saq`` is thus also the next iteration's
+    entry SAQ, which :meth:`ReplayController._check_events` reads.
+    """
+
+    __slots__ = ("laq", "saq", "sdq", "laq_pushes", "saq_pushes", "sdq_pushes")
+
+    def __init__(self, engine):
+        laq, saq, sdq = engine.laq, engine.saq, engine.sdq
+        self.laq = deque([entry.address for entry in laq], maxlen=len(laq))
+        self.saq = deque([entry.address for entry in saq], maxlen=len(saq))
+        self.sdq = deque([entry.value for entry in sdq], maxlen=len(sdq))
 
 
 # ----------------------------------------------------------------------
@@ -1016,87 +1007,93 @@ class ReplayController:
     # Replay
     # ------------------------------------------------------------------
     def _burst(self, state: _LoopState, now: int) -> int:
-        """Replay as many iterations as the shadow pass can confirm."""
+        """Replay as many iterations as the memo and the shadow pass can
+        confirm.
+
+        The packed entry key is the burst's only functional state: each
+        iteration's summary (from the memo, or from a shadow pass run
+        and then memoized) ends in the next iteration's key.  An
+        iteration is adopted only after it passes every check: its
+        memory writes land, the queue tails advance, and its trace batch
+        is emitted.  The rest of the live machine is written once, by
+        :meth:`_flush`, so a divergence at iteration k+1 leaves exactly
+        k iterations committed, and nothing in between reads live
+        timing state.
+        """
         record = state.record
         sim = self.sim
-        max_cycles = sim.config.max_cycles
+        engine = sim.engine
+        memory = engine.memory
+        table = record.memo
         cycles = record.cycles
-        replayed = 0
-        while now + cycles <= max_cycles:
-            env = self._shadow_iteration(state, record)
-            if env is None:
+        last_start = sim.config.max_cycles - cycles
+        traced = self.traced
+        state.bursts += 1
+        key = _entry_key(sim.backend.state, engine)
+        tails = _Tails(engine)
+        replayed = fpu_ops = fpu_code = 0
+        while now <= last_start:
+            summary = table.get(key)
+            if summary is not None:
+                words = memoryview(summary).cast("I")
+                if not _read_set_holds(words, memory):
+                    summary = None
+            if summary is None:
+                state.memo_misses += 1
+                summary = self._shadow_pass(record, key, memory)
+                if summary is None:
+                    state.divergences += 1
+                    break
+                _memo_put(table, key, summary)
+                words = memoryview(summary).cast("I")
+            else:
+                state.memo_hits += 1
+            n_reads, n_writes, n_laq, n_saq, n_sdq, ops, code = words[:_HEADER]
+            writes = _HEADER + 2 * n_reads
+            i = writes + 2 * n_writes
+            tails.laq_pushes = words[i : i + n_laq]
+            i += n_laq
+            tails.saq_pushes = words[i : i + n_saq]
+            i += n_saq
+            tails.sdq_pushes = words[i : i + n_sdq]
+            next_key = summary[(i + n_sdq) * _WORD :]
+            # A data-dependent branch-register write would redirect the
+            # next iteration elsewhere; the value chain and store queues
+            # must be conserved for their boundary partition to hold.
+            if (
+                next_key[_CONSERVED] != key[_CONSERVED]
+                or next_key[_BRANCH] != key[_BRANCH]
+                or not self._check_events(record, tails)
+            ):
                 state.divergences += 1
                 break
-            self._commit(record, env)
-            if self.traced:
+            for j in range(writes, writes + 2 * n_writes, 2):
+                pack_into("<I", memory, words[j], words[j + 1])
+            tails.laq.extend(tails.laq_pushes)
+            tails.saq.extend(tails.saq_pushes)
+            tails.sdq.extend(tails.sdq_pushes)
+            if ops:
+                fpu_ops += ops
+                fpu_code = code
+            if traced:
                 self._emit_batch(record.trace, now)
             now += cycles
             replayed += 1
+            key = next_key
+        if replayed:
+            self._flush(record, key, tails, replayed, fpu_ops, fpu_code)
         state.replayed += replayed
         state.replayed_cycles += replayed * cycles
         return now
 
-    def _shadow_iteration(self, state: _LoopState, record: _IterationRecord):
-        """Functionally execute one iteration off to the side.
+    def _shadow_pass(self, record: _IterationRecord, key: bytes, memory):
+        """Run the recorded instruction stream from entry state ``key``.
 
-        The functional result comes from the memo when this entry state
-        was seen before and every base-memory word it read still holds
-        the same value; otherwise from a full shadow pass, whose summary
-        is then memoized.  The timing-dependent checks below run either
-        way.  Returns the shadow environment on success, ``None`` on any
-        divergence from the recorded iteration (in which case nothing
-        was mutated and live simulation can resume at the boundary).
-        """
-        sim = self.sim
-        engine = sim.engine
-        real = sim.backend.state
-        shadow = self._shadow_arch
-        table = record.memo
-        key = _entry_key(real, engine)
-        summary = table.get(key) if key is not None else None
-        env = None
-        if summary is not None:
-            env = _ShadowEnv.unpack(summary, engine.memory, shadow)
-        if env is not None:
-            state.memo_hits += 1
-        else:
-            state.memo_misses += 1
-            env = self._shadow_pass(record, real, engine)
-            if env is None:
-                return None
-            if key is not None:
-                summary = env.pack(shadow)
-                if summary is not None:
-                    _memo_put(table, key, summary)
-        if shadow._branch != real._branch:
-            # A data-dependent branch-register write: the next
-            # iteration would redirect elsewhere.
-            return None
-        # The boundary queue shapes must be conserved (pushes == pops
-        # along every FIFO) for the chain partition below to hold.
-        if len(env.chain) != (
-            len(engine.ldq) + len(engine._in_flight_loads) + len(engine.laq)
-        ):
-            return None
-        if len(env.unc_addrs) != len(engine._uncommitted_addresses) or len(
-            env.unc_data
-        ) != len(engine._uncommitted_data):
-            return None
-        if not self._check_events(record, env):
-            return None
-        return env
-
-    def _shadow_pass(self, record: _IterationRecord, real: ArchState, engine):
-        """Run the recorded instruction stream against shadow state.
-
-        Returns the environment of a completed pass, ``None`` when an
+        Returns the completed pass's packed summary, ``None`` when an
         outcome differs from the record or the pass diverges.
         """
         shadow = self._shadow_arch
-        shadow._foreground[:] = real._foreground
-        shadow._background[:] = real._background
-        shadow._branch[:] = real._branch
-        env = _ShadowEnv(engine)
+        env = _ShadowEnv(key, memory, shadow)
         try:
             handlers = record.handlers
             if handlers is not None:
@@ -1112,25 +1109,27 @@ class ReplayController:
         except (ValueError, IndexError, RuntimeError):
             # Live execution would raise for real; let it.
             return None
-        return env
+        return env.pack(shadow)
 
-    def _check_events(self, record: _IterationRecord, env: _ShadowEnv) -> bool:
-        """Validate the shadow pass against the recorded event stream.
+    def _check_events(self, record: _IterationRecord, tails: "_Tails") -> bool:
+        """Validate one iteration's push streams against the recorded
+        event stream.
 
-        Checks the timing-relevant data dependences: FPU-window
-        addressing (routes to a different unit with different latency)
-        and store/load ordering-hazard counts (an exact counter in the
-        results).  Store departures are interleaved in recorded order
-        to reconstruct the SAQ contents each load saw.
+        Checks the push counts and the timing-relevant data dependences:
+        FPU-window addressing (routes to a different unit with different
+        latency) and store/load ordering-hazard counts (an exact counter
+        in the results).  Store departures are interleaved in recorded
+        order, from the entry SAQ, to reconstruct the SAQ contents each
+        load saw.
         """
-        laq_pushes = env.laq_pushes
-        saq_pushes = env.saq_pushes
-        if (len(laq_pushes), len(saq_pushes), len(env.sdq_pushes)) != record.push_counts:
+        laq_pushes = tails.laq_pushes
+        saq_pushes = tails.saq_pushes
+        if (len(laq_pushes), len(saq_pushes), len(tails.sdq_pushes)) != record.push_counts:
             return False
         # Equal counts: each push stream is consumed exactly once below.
         loads = iter(laq_pushes)
         stores = iter(saq_pushes)
-        shadow_saq = deque(entry.address for entry in self.sim.engine.saq)
+        shadow_saq = deque(tails.saq)
         for event in record.events:
             kind = event[0]
             if kind == "laq":
@@ -1158,67 +1157,56 @@ class ReplayController:
                 shadow_saq.popleft()
         return True
 
-    def _commit(self, record: _IterationRecord, env: _ShadowEnv) -> None:
-        """Adopt one confirmed shadow iteration into the live machine."""
+    def _flush(self, record, key: bytes, tails: "_Tails", k: int, fpu_ops, fpu_code):
+        """Write ``k`` adopted iterations into the live machine at once.
+
+        ``key`` is the exit state of the last one.  Every ``replay_shift``
+        is additive and every counter delta an integer, so shifting and
+        counting by ``k`` iterations equals ``k`` single steps.
+        """
         sim = self.sim
         engine = sim.engine
-        backend = sim.backend
-        seqs = record.seqs
-        cycles = record.cycles
-        # Functional register state (values copied in place so every
-        # live reference to the banks stays valid).
-        real = backend.state
-        shadow = self._shadow_arch
-        real._foreground[:] = shadow._foreground
-        real._background[:] = shadow._background
-        # Functional memory and the semantic FPU core.
-        memory = engine.memory
-        for address, value in env.overlay.items():
-            memory[address : address + WORD_BYTES] = value.to_bytes(
-                WORD_BYTES, "little"
-            )
-        core = engine.fpu_core
-        core._operand_a = env.fpu_operand_a
-        core._results = env.fpu_results
-        if env.fpu_ops:
-            core.operations_started += env.fpu_ops
-            core.last_operation = env.fpu_last
-        # Rotate the load value chain one iteration forward: the same
-        # FIFO positions hold the next iteration's values.
-        chain = env.chain
+        real = sim.backend.state
+        operand_a, foreground, background, _branch, chain, addrs, data, results = (
+            _unpack_state(key)
+        )
+        # Banks copied in place so every live reference stays valid; the
+        # branch bank is unchanged (checked every iteration).
+        real._foreground[:] = foreground
+        real._background[:] = background
+        values = iter(chain)
         ldq_items = engine.ldq._items
         for i in range(len(ldq_items)):
-            ldq_items[i] = chain.popleft()
+            ldq_items[i] = next(values)
         for flight in engine._in_flight_loads:
-            flight.value = chain.popleft()
-        accepted = len(env.laq_pushes)  # LAQ departures per iteration
-        laq_addrs = [entry.address for entry in engine.laq]
-        laq_addrs.extend(env.laq_pushes)
-        for entry, address in zip(engine.laq, laq_addrs[accepted:]):
+            flight.value = next(values)
+        seqs = k * record.seqs
+        for entry, address, value in zip(engine.laq, tails.laq, values):
             entry.address = address
-            entry.value = chain.popleft()
-            entry.seq += seqs
-        # Rotate the store queues by the recorded departure count.
-        departed = record.sd_count
-        saq_addrs = [entry.address for entry in engine.saq]
-        saq_addrs.extend(env.saq_pushes)
-        for entry, address in zip(engine.saq, saq_addrs[departed:]):
-            entry.address = address
-            entry.seq += seqs
-        sdq_values = [entry.value for entry in engine.sdq]
-        sdq_values.extend(env.sdq_pushes)
-        for entry, value in zip(engine.sdq, sdq_values[departed:]):
             entry.value = value
             entry.seq += seqs
-        engine._uncommitted_addresses = env.unc_addrs
-        engine._uncommitted_data = env.unc_data
+        for entry, address in zip(engine.saq, tails.saq):
+            entry.address = address
+            entry.seq += seqs
+        for entry, value in zip(engine.sdq, tails.sdq):
+            entry.value = value
+            entry.seq += seqs
+        engine._uncommitted_addresses = deque(addrs)
+        engine._uncommitted_data = deque(data)
+        core = engine.fpu_core
+        core._operand_a = operand_a
+        core._results = deque(results)
+        if fpu_ops:
+            core.operations_started += fpu_ops
+            core.last_operation = _FPU_KINDS[fpu_code]
         # Shift every absolute time/seq in the timing skeleton.
+        cycles = k * record.cycles
         sim.memory.replay_shift(cycles, seqs)
         sim.frontend.replay_shift(cycles, seqs)
-        backend.replay_shift(cycles, seqs)
+        sim.backend.replay_shift(cycles, seqs)
         sim.seq.value += seqs
         # All counters advance arithmetically by the recorded deltas.
-        self.book.apply_plan(record.plan)
+        self.book.apply_plan(record.plan, k)
 
     def _emit_batch(self, batch: tuple, base: int) -> None:
         """Re-emit a recorded trace batch shifted to this iteration."""
@@ -1248,6 +1236,7 @@ class ReplayController:
                         state.backedges * record.cycles if record else None
                     ),
                     "replayed_cycles": state.replayed_cycles,
+                    "bursts": state.bursts,
                     "recorded_iterations": state.recorded,
                     "verify_failures": state.fails,
                     "signature_restarts": state.restarts,
@@ -1267,6 +1256,10 @@ class ReplayController:
     @property
     def replayed_iterations(self) -> int:
         return sum(state.replayed for state in self.loops.values())
+
+    @property
+    def bursts(self) -> int:
+        return sum(state.bursts for state in self.loops.values())
 
     @property
     def shadow_memo_hits(self) -> int:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis.profile import profile_program, render_profile
+from repro.analysis.profile import (
+    profile_engine,
+    profile_program,
+    render_engine_profile,
+    render_profile,
+)
 from repro.core.config import MachineConfig
 from repro.core.simulator import simulate
 
@@ -75,6 +80,20 @@ class TestBehaviour:
     def test_render(self, report):
         text = render_profile(report)
         assert "ll1" in text and "CPI" in text and "total" in text
+
+
+class TestEngineProfile:
+    def test_bursts_account_for_every_replayed_iteration(self, tiny_suite):
+        config = MachineConfig.pipe("16-16", 128, memory_access_time=6)
+        report = profile_engine(config, tiny_suite.program, tiny_suite.regions())
+        assert report.bursts == sum(loop.bursts for loop in report.loops) > 0
+        for loop in report.loops:
+            assert loop.iterations_per_burst * loop.bursts == pytest.approx(
+                loop.replayed_iterations
+            )
+        text = render_engine_profile(report)
+        assert "it/burst" in text
+        assert f"{report.iterations_per_burst:.1f}" in text.splitlines()[-2]
 
 
 class TestCli:

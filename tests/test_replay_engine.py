@@ -31,7 +31,8 @@ from repro.core.replay import (
     shadow_memo_stats,
 )
 from repro.core.resilience import FaultReport, ladder_simulate
-from repro.core.simulator import Simulator, simulate, simulate_traced
+from repro.core.simulator import Simulator, SimulationTimeout, simulate, simulate_traced
+from repro.core.trace import JsonLinesSink, Tracer
 from repro.kernels.generate import generate_workload
 from repro.kernels.suite import (
     build_kernel_suite,
@@ -247,6 +248,8 @@ def test_loop_reports_shape(loop_program):
     assert top["iteration_cycles"] * top["replayed_iterations"] == (
         top["replayed_cycles"]
     )
+    assert top["replayed_iterations"] >= top["bursts"] >= 1
+    assert controller.bursts == sum(report["bursts"] for report in reports)
     # every shadow iteration is a memo hit or a miss, and ends in a
     # replayed iteration or the burst's divergence
     assert top["shadow_memo_hits"] + top["shadow_memo_misses"] == (
@@ -321,19 +324,21 @@ def test_memo_hits_still_run_the_timing_checks(monkeypatch, memo_program, cold_m
     assert result.canonical_json() == _reference(config, memo_program).canonical_json()
 
 
-def _copy_program(seed: int):
+def _copy_program(seed: int, period: int = 2):
     """A loop copying ``src[i] + 1`` to ``dst[i]`` through the queues only.
 
-    Even source words are fixed and odd ones come from ``seed``.  At
-    each loop boundary the LDQ value chain holds the word the next
-    iteration consumes, and the iteration reads the word after it: so
-    whenever the chain holds an even word, two seeds share the entry
-    key but not the read set.
+    Every ``period``-th source word (the odd ones by default) comes from
+    ``seed``, the others are fixed.  At each loop boundary the LDQ value
+    chain holds the word the next iteration consumes, and the iteration
+    reads the word after it: so whenever the chain holds a fixed word
+    and the next is seeded, two seeds share the entry key but not the
+    read set, and where both are fixed they share the whole summary.
     """
     fixed = random.Random(0)
     seeded = random.Random(seed)
     words = [
-        (fixed if index % 2 == 0 else seeded).randrange(1 << 31) for index in range(64)
+        (seeded if index % period == period - 1 else fixed).randrange(1 << 31)
+        for index in range(64)
     ]
     return assemble(
         f"""
@@ -368,15 +373,15 @@ def test_other_array_data_fails_the_read_set_check(monkeypatch, cold_memo):
     assert first.image != second.image
     assert replay._program_key(first) == replay._program_key(second)
     rejected = []
-    unpack = replay._ShadowEnv.unpack
+    read_set_holds = replay._read_set_holds
 
-    def spy(summary, memory, shadow):
-        env = unpack(summary, memory, shadow)
-        if env is None:
-            rejected.append(summary)
-        return env
+    def spy(words, memory):
+        holds = read_set_holds(words, memory)
+        if not holds:
+            rejected.append(bytes(words))
+        return holds
 
-    monkeypatch.setattr(replay._ShadowEnv, "unpack", staticmethod(spy))
+    monkeypatch.setattr(replay, "_read_set_holds", spy)
     config = MEMO_CONFIGS[1]
     for program in (first, second):
         sim = Simulator(config, program)
@@ -455,3 +460,362 @@ def test_replay_divergence_with_a_warm_memo_degrades(monkeypatch, memo_program, 
     assert result.canonical_json() == reference.canonical_json()
     assert report.counts() == {"engine_fault": 2, "degraded": 1}
     assert sum(c.shadow_memo_hits for c in controllers) > 0
+
+
+# ----------------------------------------------------------------------
+# The fused burst: one live-machine write per burst
+# ----------------------------------------------------------------------
+def _burst_spy(monkeypatch) -> list:
+    """Record ``[start, end, cycles, hits, misses]`` of every burst."""
+    bursts = []
+    burst = ReplayController._burst
+
+    def spy(self, state, now):
+        hits, misses = state.memo_hits, state.memo_misses
+        end = burst(self, state, now)
+        bursts.append(
+            [now, end, state.record.cycles, state.memo_hits - hits, state.memo_misses - misses]
+        )
+        return end
+
+    monkeypatch.setattr(ReplayController, "_burst", spy)
+    return bursts
+
+
+def _fused(bursts) -> int:
+    """Most iterations any one burst replayed."""
+    return max(((end - start) // cycles for start, end, cycles, *_ in bursts), default=0)
+
+
+def _run(config, program, path=None, **kwargs):
+    """Run to completion, traced to JSONL at ``path`` if one is given;
+    returns the simulator and its result."""
+    tracer = None
+    if path is not None:
+        tracer = Tracer()
+        tracer.attach(JsonLinesSink(path))
+    sim = Simulator(config, program, tracer=tracer, **kwargs)
+    try:
+        return sim, sim.run()
+    finally:
+        if tracer is not None:
+            tracer.close()
+
+
+def _register_program():
+    """A loop touching registers only: no memory traffic, so its trace
+    batch recurs exactly and the loop engages under tracing too."""
+    return assemble(
+        """
+    li r1, 300
+    li r2, 0
+    lbr b0, loop
+loop:
+    addi r2, r2, 3
+    exch
+    addi r2, r2, 5
+    exch
+    subi r1, r1, 1
+    pbrne b0, r1, 2
+    nop
+    nop
+    halt
+"""
+    )
+
+
+def _words(count: int) -> str:
+    rng = random.Random(0)
+    return ", ".join(str(rng.randrange(1 << 31)) for _ in range(count))
+
+
+def _overwrite_program():
+    """Each iteration loads ``y[i]`` and then overwrites it: a write
+    landing before its iteration is adopted would change what the live
+    re-run of that iteration reads, and so the sum stored at the end."""
+    return assemble(
+        f"""
+    li r1, 60
+    la r2, x
+    la r5, y
+    li r3, 0
+    lbr b0, loop
+loop:
+    ldx r2, r3
+    addi r4, r4, 1
+    ldx r5, r3
+    or r7, r4, r4
+    stx r5, r3
+    add r6, r6, r7
+    add r6, r6, r7
+    addi r3, r3, 4
+    subi r1, r1, 1
+    pbrne b0, r1, 2
+    nop
+    nop
+    or r7, r6, r6
+    st r2, 0
+    halt
+    .align 4
+x:
+    .word {_words(64)}
+y:
+    .word {_words(64)}
+"""
+    )
+
+
+def _hazard_program():
+    """Loads run four iterations ahead, so each store still sits in the
+    SAQ when the next iteration loads its address back: every loop
+    boundary carries SAQ entries, and every iteration an ordering
+    hazard that depends on them."""
+    return assemble(
+        f"""
+    li r1, 100
+    la r2, src
+    la r5, dst
+    ld r2, 0
+    ld r2, 4
+    ld r2, 8
+    ld r2, 12
+    lbr b0, loop
+loop:
+    ld r2, 16
+    addi r7, r7, 1
+    st r5, 0
+    ld r5, -4
+    add r4, r4, r7
+    addi r2, r2, 4
+    addi r5, r5, 4
+    subi r1, r1, 1
+    pbrne b0, r1, 2
+    nop
+    nop
+    halt
+    .align 4
+src:
+    .word {_words(128)}
+    .space 4
+dst:
+    .space 512
+"""
+    )
+
+
+def test_carried_key_equals_the_live_entry_key_after_every_flush(
+    monkeypatch, memo_program, cold_memo
+):
+    """The key a burst carries is exactly the live machine's entry key
+    once the burst is written back, cold memo or warm."""
+    flushes = []
+    flush = ReplayController._flush
+
+    def checked_flush(self, record, key, tails, k, fpu_ops, fpu_code):
+        flush(self, record, key, tails, k, fpu_ops, fpu_code)
+        assert replay._entry_key(self.sim.backend.state, self.sim.engine) == key
+        flushes.append(k)
+
+    monkeypatch.setattr(ReplayController, "_flush", checked_flush)
+    for config in MEMO_CONFIGS:
+        flushes.clear()
+        result = Simulator(config, memo_program).run()
+        assert result.canonical_json() == _reference(config, memo_program).canonical_json()
+        assert max(flushes) >= 2
+
+
+def test_max_cycles_mid_burst_times_out_like_the_reference(monkeypatch, memo_program):
+    """A wall inside a burst stops it at the last whole iteration; live
+    simulation then hits the wall at the reference's cycle and count."""
+    config = MEMO_CONFIGS[1]
+    bursts = _burst_spy(monkeypatch)
+    Simulator(config, memo_program).run()
+    start, _end, cycles, *_ = max(bursts, key=lambda b: b[1] - b[0])
+    wall = start + 3 * cycles + cycles // 2
+    capped = config.with_overrides(max_cycles=wall)
+    bursts.clear()
+    with pytest.raises(SimulationTimeout) as fast:
+        Simulator(capped, memo_program).run()
+    assert bursts[-1][:2] == [start, start + 3 * cycles]
+    with pytest.raises(SimulationTimeout) as reference:
+        _reference(capped, memo_program)
+    assert fast.value.cycle == reference.value.cycle == wall
+    assert str(fast.value).replace("idle-skip", "reference") == str(reference.value)
+
+
+def test_divergence_after_fused_iterations_is_identical(
+    monkeypatch, memo_program, cold_memo, tmp_path
+):
+    """A check failing deep in a burst leaves exactly the iterations
+    before it committed: results, stats, memory and the JSONL trace
+    match the reference rung."""
+    forced = []
+    position = itertools.count()
+    burst = ReplayController._burst
+    check = ReplayController._check_events
+
+    def counting_burst(self, state, now):
+        nonlocal position
+        position = itertools.count()
+        return burst(self, state, now)
+
+    def failing_check(self, record, tails):
+        index = next(position)
+        if index == 3 and not forced:
+            forced.append(index)
+            return False
+        return check(self, record, tails)
+
+    monkeypatch.setattr(ReplayController, "_burst", counting_burst)
+    monkeypatch.setattr(ReplayController, "_check_events", failing_check)
+    config = MEMO_CONFIGS[1]
+    # Traced Livermore loops stride and stay live; the register loop
+    # engages under tracing too.
+    legs = (
+        (memo_program, False),
+        (_overwrite_program(), False),
+        (_register_program(), False),
+        (_register_program(), True),
+    )
+    for index, (program, traced) in enumerate(legs):
+        forced.clear()
+        paths = [tmp_path / f"{index}-{rung}.jsonl" if traced else None for rung in "fr"]
+        fast, fast_result = _run(config, program, paths[0])
+        reference, reference_result = _run(
+            config, program, paths[1], skip=False, replay=False, compiled=False
+        )
+        assert forced == [3]
+        assert fast_result.canonical_json() == reference_result.canonical_json()
+        assert fast.engine.memory == reference.engine.memory
+        if traced:
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_bursts_mixing_memo_hits_and_misses_are_identical(monkeypatch, cold_memo):
+    """A memo warmed at another array seed serves some iterations of a
+    burst while others run the shadow pass; nothing shows in the
+    results or the final memory."""
+    bursts = _burst_spy(monkeypatch)
+    config = MEMO_CONFIGS[1]
+    simulate(MEMO_CONFIGS[0], _copy_program(1, period=8))  # warms the memo
+    program = _copy_program(2, period=8)
+    sim = Simulator(config, program)
+    result = sim.run()
+    reference = Simulator(config, program, skip=False, replay=False, compiled=False)
+    assert result.canonical_json() == reference.run().canonical_json()
+    assert sim.engine.memory == reference.engine.memory
+    assert any(hits and misses for *_, hits, misses in bursts)
+    assert _fused(bursts) >= 2
+
+
+@pytest.mark.parametrize("config", MEMO_CONFIGS, ids=lambda config: config.describe())
+def test_store_queue_tails_carry_hazards_through_a_burst(monkeypatch, config, cold_memo):
+    """Entries left in the SAQ at each boundary are the ones the next
+    iteration's load hazards count: the carried tails must keep them
+    exact for the burst to run on, and write them back exactly."""
+    bursts = _burst_spy(monkeypatch)
+    program = _hazard_program()
+    sim = Simulator(config, program)
+    result = sim.run()
+    reference = Simulator(config, program, skip=False, replay=False, compiled=False)
+    assert result.canonical_json() == reference.run().canonical_json()
+    assert sim.engine.memory == reference.engine.memory
+    assert sim.engine.stats.ordering_hazards >= 90
+    assert _fused(bursts) >= 90
+
+
+# ----------------------------------------------------------------------
+# Invariants the fused burst rests on
+# ----------------------------------------------------------------------
+def _shifted_state(name: str, sim: Simulator):
+    """Every time and seq ``replay_shift`` moves in one component, or
+    ``None`` while the component holds nothing to shift."""
+    if name == "external":
+        flights = sim.memory.external.in_flight
+        return [(r.accepted_at, r.ready_at, r.seq) for r in flights] or None
+    if name == "fpu":
+        fpu = sim.memory.fpu
+        if not (fpu._ops_pending or fpu._result_loads):
+            return None
+        loads = [(r.accepted_at, r.seq) for r in fpu._result_loads]
+        return list(fpu._ops_pending), list(fpu._results_ready), fpu._busy_until, loads
+    if name == "frontend":
+        frontend = sim.frontend
+        if frontend._request is None or frontend._request_accepted:
+            return None
+        return frontend._request.seq
+    pending = sim.backend._pending
+    return None if pending is None else pending.resolve_at
+
+
+def _shifter(name: str, sim: Simulator):
+    return {
+        "external": sim.memory.external,
+        "fpu": sim.memory.fpu,
+        "frontend": sim.frontend,
+        "backend": sim.backend,
+    }[name].replay_shift
+
+
+@pytest.mark.parametrize("name", ["external", "fpu", "frontend", "backend"])
+def test_replay_shift_is_additive(name, loop_program):
+    """Shifting by ``a`` then ``b`` equals shifting by ``a + b``, so a
+    burst may shift once by its whole span."""
+    config = MachineConfig.conventional(32, memory_access_time=16)
+    sims = [Simulator(config, loop_program, skip=False, replay=False) for _ in range(2)]
+    now = 0
+    while _shifted_state(name, sims[0]) is None:
+        assert now < 5_000, f"{name} never held timed state"
+        now = _step(sims[0], 1, now)
+        _step(sims[1], 1, now - 1)
+    assert _shifted_state(name, sims[0]) == _shifted_state(name, sims[1])
+    _shifter(name, sims[0])(7, 3)
+    _shifter(name, sims[0])(11, 5)
+    _shifter(name, sims[1])(18, 8)
+    assert _shifted_state(name, sims[0]) == _shifted_state(name, sims[1])
+
+
+def test_apply_plan_with_a_multiplier_equals_repeated_application(loop_program):
+    """One application by ``k`` equals ``k`` single ones, dict counters
+    included."""
+    sims = [Simulator(CONFIGS["pipe"], loop_program) for _ in range(2)]
+    books = [StatsBook(sim) for sim in sims]
+    start = books[0].snapshot()
+    for sim in sims:
+        sim.backend.instructions += 7
+        sim.backend.stalls["frontend_empty"] += 3
+        sim.memory.stats.by_source_bytes["icache"] = 64
+        sim.engine.sdq.total_pops += 2
+    delta = books[0].diff(start, books[0].snapshot())
+    StatsBook.apply_plan(books[0].plan(delta), 5)
+    plan = books[1].plan(delta)
+    for _ in range(5):
+        StatsBook.apply_plan(plan)
+    assert books[0].snapshot() == books[1].snapshot()
+    assert sims[0].backend.instructions == 6 * 7
+    assert sims[0].memory.stats.by_source_bytes["icache"] == 6 * 64
+
+
+def test_engagement_refuses_unbalanced_store_queue_records(loop_program, cold_memo):
+    """A burst carries each store queue as its last ``len`` pushes, so a
+    record whose SAQ/SDQ pushes differ from its store departures never
+    engages, even when it verifies."""
+    sim = Simulator(CONFIGS["pipe"], loop_program)
+    sim.run()
+    controller = sim.replay_controller
+    genuine = next(state for state in controller.loops.values() if state.record)
+
+    def verify(events) -> int:
+        record = genuine.record
+        copy = replay._IterationRecord(
+            record.cycles, record.seqs, record.delta, record.instrs, events, record.trace, True
+        )
+        state = replay._LoopState()
+        state.phase, state.sig, state.candidate = replay._VERIFY, genuine.sig, copy
+        controller._advance(state, copy, genuine.sig)
+        return state.phase
+
+    events = genuine.record.events
+    assert verify(events) == replay._ENGAGED
+    for extra in (("sd",), ("sdq", 0), ("saq", 0, None)):
+        assert verify(events + (extra,)) == replay._VERIFY
