@@ -12,9 +12,9 @@ The warm-fleet stack attacks that bill twice, and this benchmark times
 the three rungs separately on the same grid with byte-identical
 results:
 
-* ``naive`` — one point per pool task, no persistent artifacts
-  (``REPRO_NO_AFFINITY=1`` + ``REPRO_NO_DISK_CODEGEN=1``): the
-  pre-orchestration behaviour;
+* ``naive`` — one point per pool task, no persistent artifacts: the
+  per-point worker body driven straight through ``supervised_map``
+  with ``REPRO_NO_DISK_CODEGEN=1`` — the pre-orchestration behaviour;
 * ``affinity`` — config-affinity batches keep each kernel family on as
   few workers as possible, so a family compiles once per worker that
   actually serves it instead of once per worker that happens to meet
@@ -45,7 +45,13 @@ from pathlib import Path
 
 from repro.core.compiled import clear_compile_cache
 from repro.core.config import PIPE_CONFIGURATIONS, MachineConfig
-from repro.core.parallel import simulate_many
+from repro.core.parallel import _init_simulation_worker
+from repro.core.resilience import (
+    _supervised_point,
+    supervised_map,
+    supervised_simulate_many,
+)
+from repro.core.simcache import sweep_point_keys
 from repro.kernels.suite import build_livermore_program
 
 _JOBS = 4
@@ -53,10 +59,35 @@ _SIZES = (32, 64, 128, 256, 512)
 _MEMORY_ACCESS_TIMES = (6, 16)
 _ROUNDS = 3  # min-of-3 cold runs per mode (each round fully reset)
 
+#: the unsupervised settings: retries, backoff and timeout off
+_UNSUPERVISED = {"max_retries": 0, "backoff": 0}
+
+
+def _simulate_per_point(program, configs, jobs):
+    """One point per pool task, no affinity batches and no priming."""
+    tasks = list(zip(sweep_point_keys(program, configs), configs))
+    return [
+        result
+        for result, _rung, _events in supervised_map(
+            _supervised_point,
+            tasks,
+            jobs=jobs,
+            initializer=_init_simulation_worker,
+            initargs=(program,),
+            **_UNSUPERVISED,
+        )
+    ]
+
+
+def _simulate_batched(program, configs, jobs):
+    """The one fan-out path: affinity batches plus codegen priming."""
+    return supervised_simulate_many(program, configs, jobs=jobs, **_UNSUPERVISED)
+
+
 _MODES = (
-    ("naive", {"REPRO_NO_AFFINITY": "1", "REPRO_NO_DISK_CODEGEN": "1"}),
-    ("affinity", {"REPRO_NO_AFFINITY": "0", "REPRO_NO_DISK_CODEGEN": "1"}),
-    ("affinity+disk", {"REPRO_NO_AFFINITY": "0", "REPRO_NO_DISK_CODEGEN": "0"}),
+    ("naive", _simulate_per_point, {"REPRO_NO_DISK_CODEGEN": "1"}),
+    ("affinity", _simulate_batched, {"REPRO_NO_DISK_CODEGEN": "1"}),
+    ("affinity+disk", _simulate_batched, {"REPRO_NO_DISK_CODEGEN": "0"}),
 )
 
 
@@ -88,7 +119,7 @@ def test_cold_sweep_orchestration(benchmark, results_dir):
 
     saved = {
         key: os.environ.get(key)
-        for key in ("REPRO_NO_AFFINITY", "REPRO_NO_DISK_CODEGEN", "REPRO_CACHE_DIR")
+        for key in ("REPRO_NO_DISK_CODEGEN", "REPRO_CACHE_DIR")
     }
 
     def restore():
@@ -100,17 +131,16 @@ def test_cold_sweep_orchestration(benchmark, results_dir):
 
     try:
         # The truth: a clean serial run, orchestration out of the picture.
-        os.environ["REPRO_NO_AFFINITY"] = "1"
         os.environ["REPRO_NO_DISK_CODEGEN"] = "1"
         clear_compile_cache()
-        reference = simulate_many(program, configs, jobs=1)
+        reference = _simulate_batched(program, configs, jobs=1)
 
-        makespans = {tag: float("inf") for tag, _env in _MODES}
+        makespans = {tag: float("inf") for tag, _run, _env in _MODES}
         with tempfile.TemporaryDirectory(prefix="repro-cold-sweep-") as scratch:
             # Rounds interleave the modes (naive, affinity, disk, naive,
             # ...) so slow drift in background load biases no mode.
             for round_id in range(_ROUNDS):
-                for tag, env in _MODES:
+                for tag, run, env in _MODES:
                     os.environ.update(env)
                     # a pristine artifact root per round keeps every
                     # round genuinely cold (no cross-round warm starts)
@@ -118,7 +148,7 @@ def test_cold_sweep_orchestration(benchmark, results_dir):
                     os.environ["REPRO_CACHE_DIR"] = str(root)
                     clear_compile_cache()  # parent caches cold too
                     start = time.perf_counter()
-                    results = simulate_many(program, configs, jobs=_JOBS)
+                    results = run(program, configs, jobs=_JOBS)
                     elapsed = time.perf_counter() - start
                     makespans[tag] = min(makespans[tag], elapsed)
                     assert results == reference, (
@@ -146,7 +176,7 @@ def test_cold_sweep_orchestration(benchmark, results_dir):
         "",
         f"{'mode':<16} {'makespan':>10} {'vs naive':>9}",
     ]
-    for tag, _env in _MODES:
+    for tag, _run, _env in _MODES:
         lines.append(
             f"{tag:<16} {makespans[tag]:>9.3f}s "
             f"{makespans['naive'] / makespans[tag]:>8.2f}x"
@@ -163,7 +193,7 @@ def test_cold_sweep_orchestration(benchmark, results_dir):
     (results_dir / "cold_sweep.txt").write_text(text)
 
     result = benchmark.pedantic(
-        lambda: simulate_many(program, configs[:4], jobs=1)[0],
+        lambda: _simulate_batched(program, configs[:4], jobs=1)[0],
         rounds=1,
         iterations=1,
     )

@@ -48,10 +48,14 @@ from .analysis.tables import (
 )
 from .core import faults
 from .core.config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
-from .core.parallel import parallel_map, resolve_jobs
-from .core.resilience import SweepCheckpoint, SweepSupervisor, ladder_simulate
+from .core.parallel import resolve_jobs
+from .core.resilience import (
+    SweepCheckpoint,
+    SweepSupervisor,
+    ladder_simulate,
+    supervised_map,
+)
 from .core.scheduler import (
-    NO_AFFINITY_ENV,
     NO_COMPILED_ENV,
     NO_DISK_CODEGEN_ENV,
     NO_REPLAY_ENV,
@@ -461,7 +465,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             (experiment_id, args.scale, args.cache_dir, cache is not None)
             for experiment_id in EXPERIMENTS
         ]
-        outcomes = parallel_map(_report_worker, tasks, jobs=jobs)
+        outcomes = supervised_map(
+            _report_worker,
+            tasks,
+            jobs=jobs,
+            max_retries=0,
+            backoff=0,
+            labels=EXPERIMENTS,
+        )
         for experiment_id, text, checks, passed, exp_hits, exp_misses in outcomes:
             print(f"{'=' * 70}")
             print(f"Experiment: {experiment_id}")
@@ -516,12 +527,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(store.describe())
     else:  # clear
         if args.quarantine:
-            removed = cache.clear_quarantine()
-            print(
-                f"removed {removed} quarantined entr"
-                f"{'y' if removed == 1 else 'ies'} from "
-                f"{cache.root / 'quarantine'}"
-            )
+            for owner in (cache, store):
+                removed = owner.clear_quarantine()
+                print(
+                    f"removed {removed} quarantined entr"
+                    f"{'y' if removed == 1 else 'ies'} from "
+                    f"{owner.root / 'quarantine'}"
+                )
             return 0
         clear_sim = not args.codegen_only
         clear_codegen = not args.sim_only
@@ -639,13 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent codegen artifact store under "
         "<cache-dir>/codegen (results are identical; equivalent to "
         "REPRO_NO_DISK_CODEGEN=1)",
-    )
-    parser.add_argument(
-        "--no-affinity",
-        action="store_true",
-        help="disable config-affinity batched scheduling of sweep "
-        "points; each point travels as its own pool task (results are "
-        "identical; equivalent to REPRO_NO_AFFINITY=1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -777,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument(
         "--quarantine",
         action="store_true",
-        help="clear only the quarantined (corrupt) entries, keep "
-        "everything else",
+        help="clear only the quarantined (corrupt) results and codegen "
+        "artifacts, keep everything else",
     )
     cache_parser.set_defaults(func=_cmd_cache)
 
@@ -925,8 +930,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[NO_COMPILED_ENV] = "1"
     if args.no_disk_codegen:
         os.environ[NO_DISK_CODEGEN_ENV] = "1"
-    if args.no_affinity:
-        os.environ[NO_AFFINITY_ENV] = "1"
     return args.func(args)
 
 

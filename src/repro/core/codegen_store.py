@@ -21,8 +21,9 @@ Entries follow the simcache v3 discipline end to end:
   canonical payload, verified before a byte of it is trusted;
 * **quarantine** — an entry that fails parsing, the checksum, or the
   format version reads as a miss and is moved to
-  ``codegen/quarantine/`` (visible in ``repro-sim cache stats``), then
-  regenerated from source — a corrupted artifact is never executed.
+  ``codegen/quarantine/`` (visible in ``repro-sim cache stats``, capped
+  like the simulation cache's quarantine), then regenerated from
+  source — a corrupted artifact is never executed.
 
 Keys are content addresses: callers pass a logical key that already
 folds everything the artifact depends on (the kernel family fields
@@ -48,6 +49,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .scheduler import ENGINE_REVISION
+from .simcache import (
+    QUARANTINE_MAX_AGE_SECONDS,
+    QUARANTINE_MAX_BYTES,
+    clear_quarantine_dir,
+    move_to_quarantine,
+    quarantined_files,
+)
 
 __all__ = [
     "CODEGEN_FORMAT_VERSION",
@@ -199,16 +207,14 @@ class CodegenStore:
         os.replace(tmp, path)
 
     def _quarantine(self, path: Path) -> None:
-        """Move one unverifiable entry aside (best effort, atomic)."""
-        target = self.root / QUARANTINE_DIR / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        """Move one unverifiable entry aside, under the simulation
+        cache's quarantine caps."""
+        move_to_quarantine(
+            path,
+            self.root / QUARANTINE_DIR,
+            QUARANTINE_MAX_BYTES,
+            QUARANTINE_MAX_AGE_SECONDS,
+        )
 
     # ------------------------------------------------------------------
     # Kernel entries
@@ -301,10 +307,11 @@ class CodegenStore:
         return sorted(self.root.glob("??/*.json"))
 
     def quarantined_entries(self) -> list[Path]:
-        quarantine = self.root / QUARANTINE_DIR
-        if not quarantine.is_dir():
-            return []
-        return sorted(quarantine.glob("*.json"))
+        return quarantined_files(self.root / QUARANTINE_DIR)
+
+    def clear_quarantine(self) -> int:
+        """Delete every quarantined artifact; returns the number removed."""
+        return clear_quarantine_dir(self.root / QUARANTINE_DIR)
 
     def size_bytes(self) -> int:
         total = 0

@@ -1,20 +1,31 @@
-"""Parallel fan-out of independent simulation points.
+"""Worker-pool primitives shared by every simulation fan-out.
 
 Every point of a cache-size sweep — and most experiment loops — is an
 independent, deterministic ``simulate(config, program)`` call, so they
-parallelize trivially across a :class:`~concurrent.futures.ProcessPoolExecutor`
-(processes, not threads: the simulator is pure Python and CPU-bound).
+parallelize trivially across worker processes (processes, not threads:
+the simulator is pure Python and CPU-bound).  One pool does the
+fanning out: :func:`repro.core.resilience.supervised_map`, with
+:func:`repro.core.resilience.supervised_simulate_many` as the only way
+a batch of simulation points is resolved.  An unsupervised run is the
+same path with retries, backoff, timeout and checkpoint off.  The job
+service keeps its own async pool (:mod:`repro.core.service`), whose
+worker body (:func:`_service_point`) lives here.
 
-Job-count resolution, in priority order: an explicit ``jobs`` argument
-(the ``--jobs`` CLI flag), the ``REPRO_JOBS`` environment variable,
-``os.cpu_count()``.  ``jobs=1`` — and any platform where worker
-processes cannot be spawned — degrades gracefully to the serial path.
+This module holds what those pools share:
+
+* job-count resolution, in priority order: an explicit ``jobs``
+  argument (the ``--jobs`` CLI flag), the ``REPRO_JOBS`` environment
+  variable, ``os.cpu_count()``;
+* config-affinity batching (:func:`affinity_batches`), which groups
+  points by kernel family so each family compiles on as few workers
+  as possible;
+* the worker initializers: the benchmark program is shipped to each
+  worker once rather than once per point, so workers then receive only
+  the small :class:`MachineConfig` per task;
+* the traced fan-out (:func:`simulate_many_traced`).
+
 Results always come back in submission order, so parallel runs are
 bit-identical to serial ones.
-
-The benchmark program is shipped to each worker once (pool initializer)
-rather than once per point; workers then receive only the small
-:class:`MachineConfig` per task.
 """
 
 from __future__ import annotations
@@ -22,31 +33,20 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from pickle import PicklingError
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from ..asm.program import Program
 from .config import MachineConfig
 from .results import SimulationResult
-from .scheduler import affinity_enabled_default
 
 __all__ = [
     "JOBS_ENV",
-    "ItemOutcome",
     "affinity_batches",
     "config_affinity_key",
-    "parallel_map",
-    "parallel_map_outcomes",
     "resolve_jobs",
-    "simulate_many",
     "simulate_many_traced",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -63,138 +63,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
         except ValueError:
             warnings.warn(f"ignoring non-integer {JOBS_ENV}={env!r}")
     return os.cpu_count() or 1
-
-
-def _serial_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    return [fn(item) for item in items]
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-) -> list[R]:
-    """``[fn(item) for item in items]`` across worker processes.
-
-    Deterministic: results are returned in input order regardless of
-    completion order.  Falls back to the serial path when only one job
-    is requested, there is at most one item, or the platform cannot
-    spawn workers (missing fork support, pickling failure, sandboxed
-    environments); exceptions raised by ``fn`` itself propagate
-    unchanged in both modes.
-    """
-    items = list(items)
-    jobs = min(resolve_jobs(jobs), len(items))
-    if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return _serial_map(fn, items)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
-        ) as pool:
-            return list(pool.map(fn, items))
-    # pickle signals an unpicklable callable as AttributeError/TypeError
-    # depending on the object; a genuine fn error re-raises identically
-    # from the serial retry, so the broad net cannot change semantics.
-    except (
-        BrokenExecutor,
-        PicklingError,
-        OSError,
-        ImportError,
-        AttributeError,
-        TypeError,
-    ) as exc:
-        warnings.warn(
-            f"parallel execution unavailable ({type(exc).__name__}: {exc}); "
-            "falling back to serial"
-        )
-        if initializer is not None:
-            initializer(*initargs)
-        return _serial_map(fn, items)
-
-
-@dataclass
-class ItemOutcome(Generic[R]):
-    """One item's result *or* error from :func:`parallel_map_outcomes`."""
-
-    value: R | None = None
-    error: BaseException | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def unwrap(self) -> R:
-        """The value, re-raising the item's error if it failed."""
-        if self.error is not None:
-            raise self.error
-        return self.value  # type: ignore[return-value]
-
-
-def parallel_map_outcomes(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-) -> list[ItemOutcome[R]]:
-    """:func:`parallel_map` with per-item error capture.
-
-    One failed item no longer discards its completed siblings: every
-    item gets an :class:`ItemOutcome` (in input order) carrying either
-    its value or the exception it raised — including the
-    ``BrokenProcessPool`` a crashed worker leaves behind, which lands
-    only on the items that were in flight.  The supervisor layer
-    (:mod:`repro.core.resilience`) builds its retry/requeue policy on
-    exactly this contract.
-    """
-    items = list(items)
-    jobs = min(resolve_jobs(jobs), len(items))
-
-    def serial() -> list[ItemOutcome[R]]:
-        outcomes: list[ItemOutcome[R]] = []
-        for item in items:
-            try:
-                outcomes.append(ItemOutcome(value=fn(item)))
-            except Exception as exc:  # noqa: BLE001 — per-item boundary
-                outcomes.append(ItemOutcome(error=exc))
-        return outcomes
-
-    if jobs <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return serial()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
-        ) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(ItemOutcome(value=future.result()))
-                except (PicklingError, AttributeError, TypeError):
-                    # An unpicklable fn fails asynchronously, on every
-                    # item alike: that is pool trouble, not an item
-                    # error — retry the whole list serially (a genuine
-                    # fn error re-raises identically there).
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(ItemOutcome(error=exc))
-            return outcomes
-    except (PicklingError, OSError, ImportError, AttributeError, TypeError) as exc:
-        # Pool machinery unavailable (sandbox, unpicklable fn): same
-        # degradation as parallel_map, with per-item capture preserved.
-        warnings.warn(
-            f"parallel execution unavailable ({type(exc).__name__}: {exc}); "
-            "falling back to serial"
-        )
-        if initializer is not None:
-            initializer(*initargs)
-        return serial()
 
 
 # ----------------------------------------------------------------------
@@ -272,92 +140,6 @@ def _init_simulation_worker(program: Program) -> None:
     _worker_program = program
 
 
-def _simulate_point(config: MachineConfig) -> SimulationResult:
-    from .simulator import simulate
-
-    assert _worker_program is not None, "worker initialized without a program"
-    return simulate(config, _worker_program)
-
-
-def _simulate_batch(
-    task: Sequence[tuple[int, dict]],
-) -> tuple[list[tuple[int, SimulationResult]], dict]:
-    """Worker body: one affinity batch of ``(index, config fields)``.
-
-    Configs travel as their compact ``to_dict`` descriptors (one small
-    dict per point instead of a pickled object graph per IPC round).
-    Returns the indexed results plus this worker's codegen-stat delta,
-    tagged with its pid, so the parent can aggregate fleet-wide codegen
-    visibility; freshly learned dispatch handlers are flushed to the
-    persistent store at the batch boundary.
-    """
-    from .compiled import compile_stats, compile_stats_delta, flush_codegen_artifacts
-    from .simulator import simulate
-
-    assert _worker_program is not None, "worker initialized without a program"
-    baseline = compile_stats()
-    results = [
-        (index, simulate(MachineConfig.from_dict(fields), _worker_program))
-        for index, fields in task
-    ]
-    flush_codegen_artifacts()
-    return results, compile_stats_delta(baseline)
-
-
-def simulate_many(
-    program: Program,
-    configs: Sequence[MachineConfig],
-    jobs: int | None = None,
-) -> list[SimulationResult]:
-    """Simulate every config against ``program``, fanned out over workers.
-
-    Results are returned in ``configs`` order and are bit-identical to
-    running the same list serially.  Multi-worker runs ship points in
-    config-affinity batches (:func:`affinity_batches`) unless
-    ``REPRO_NO_AFFINITY`` is set, in which case every point travels as
-    its own pool task exactly as before.
-    """
-    configs = list(configs)
-    jobs = min(resolve_jobs(jobs), len(configs))
-    if jobs <= 1:
-        from .simulator import simulate
-
-        return [simulate(config, program) for config in configs]
-    if not affinity_enabled_default():
-        return parallel_map(
-            _simulate_point,
-            configs,
-            jobs=jobs,
-            initializer=_init_simulation_worker,
-            initargs=(program,),
-        )
-    from .compiled import prime_codegen_artifacts, record_worker_stats
-
-    batches = affinity_batches([config_affinity_key(c) for c in configs], jobs)
-    tasks = [
-        [(index, configs[index].to_dict()) for index in batch]
-        for batch in batches
-    ]
-    # Fleet warmup: publish one kernel artifact per family (first point
-    # of each batch) so no worker pays full codegen for a family the
-    # parent could hand it.  No-op without the persistent store.
-    prime_codegen_artifacts(
-        program, [configs[batch[0]] for batch in batches]
-    )
-    results: list[SimulationResult | None] = [None] * len(configs)
-    for indexed, delta in parallel_map(
-        _simulate_batch,
-        tasks,
-        jobs=jobs,
-        initializer=_init_simulation_worker,
-        initargs=(program,),
-    ):
-        record_worker_stats(delta)
-        for index, result in indexed:
-            results[index] = result
-    return results  # type: ignore[return-value] — every index was delivered
-
-
 # ----------------------------------------------------------------------
 # Service fan-out: one job-service point per pool task.
 # ----------------------------------------------------------------------
@@ -424,20 +206,26 @@ def simulate_many_traced(
     trace_path: str | os.PathLike,
     jobs: int | None = None,
 ) -> list[SimulationResult]:
-    """Traced variant of :func:`simulate_many` writing one merged trace.
+    """Simulate every config with tracing on, writing one merged trace.
 
     Every point runs with a JSONL sink (plus a metrics sink, so each
     result carries its ``trace_metrics``); the merged ``trace_path`` is
-    byte-identical regardless of ``jobs``.
+    byte-identical regardless of ``jobs``.  Points fan out through
+    :func:`~repro.core.resilience.supervised_map` with retries off, so a
+    failing point raises :class:`~repro.core.resilience.SweepPointError`
+    once its siblings have finished.
     """
+    from .resilience import supervised_map
     from .trace import merge_trace_files
 
     configs = list(configs)
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as staging:
-        results = parallel_map(
+        results = supervised_map(
             _simulate_traced_point,
             list(enumerate(configs)),
             jobs=jobs,
+            max_retries=0,
+            backoff=0,
             initializer=_init_traced_worker,
             initargs=(program, staging),
         )

@@ -513,9 +513,10 @@ def supervised_map(
 ) -> list:
     """``[fn(item) for item in items]`` under a fault supervisor.
 
-    Like :func:`repro.core.parallel.parallel_map`, results come back in
-    input order and the serial path is taken for ``jobs <= 1`` — but
-    failures are *handled* instead of propagated:
+    The one worker pool of batch runs (the job service keeps its own
+    async pool).  Results come back in input order, the serial path is
+    taken for ``jobs <= 1``, and failures are *handled* instead of
+    propagated:
 
     * an exception from ``fn`` retries the point up to ``max_retries``
       times with decorrelated-jitter backoff (:func:`retry_backoff`:
@@ -537,7 +538,10 @@ def supervised_map(
     Every recovery is recorded in ``report``; ``on_result(index,
     value)`` fires as each point completes (checkpoint hook).  Points
     still failing after all that raise :class:`SweepPointError` at the
-    end — after every recoverable point has completed.
+    end — after every recoverable point has completed.  An unsupervised
+    run is ``max_retries=0, backoff=0`` with no timeout: a failing point
+    then raises the same :class:`SweepPointError`, its original
+    exception kept in ``failures``.
     """
     from .parallel import resolve_jobs
 
@@ -846,12 +850,15 @@ def supervised_simulate_many(
     report: FaultReport | None = None,
     on_result: Callable[[int, SimulationResult], None] | None = None,
 ) -> list[SimulationResult]:
-    """:func:`~repro.core.parallel.simulate_many` under the supervisor.
+    """Simulate every config against ``program``: the one fan-out path.
 
     Every point runs the engine-degradation ladder inside its worker;
     rung degradations recorded there are merged into ``report``.
-    Results come back in ``configs`` order, byte-identical to a clean
-    serial reference run.
+    Multi-worker runs ship points in config-affinity batches
+    (:func:`~repro.core.parallel.affinity_batches`); serial runs take
+    them one at a time in this process.  Results come back in
+    ``configs`` order, byte-identical to a clean serial reference run.
+    Unsupervised callers pass ``max_retries=0, backoff=0``.
     """
     from .parallel import (
         _init_simulation_worker,
@@ -859,7 +866,6 @@ def supervised_simulate_many(
         config_affinity_key,
         resolve_jobs,
     )
-    from .scheduler import affinity_enabled_default
     from .simcache import sweep_point_keys
     from .simulator import DeadlockError, SimulationTimeout
 
@@ -883,7 +889,7 @@ def supervised_simulate_many(
             on_result(index, result)
 
     effective_jobs = min(resolve_jobs(jobs), len(configs))
-    if effective_jobs > 1 and len(configs) > 1 and affinity_enabled_default():
+    if effective_jobs > 1:
         # Phase 1: affinity batches.  One IPC round carries a batch of
         # points from one kernel family; per-point outcomes come back
         # individually (exceptions included), so retry granularity and
@@ -950,7 +956,7 @@ def supervised_simulate_many(
             # each one gets an individual hearing below.
             pass
 
-    # Phase 2 (and the whole story for serial / affinity-off runs):
+    # Phase 2 (and the whole story for serial runs):
     # every undelivered point as its own supervised task.
     leftovers = [
         index for index in range(len(configs)) if index not in delivered
@@ -1138,7 +1144,7 @@ class SweepCheckpoint:
         payload = {"version": self.MANIFEST_VERSION, "points": self._points}
         tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
         # Canonical key order: manifests written under different point
-        # scheduling (affinity batches vs singletons vs serial) compare
+        # scheduling (affinity batches vs serial) compare
         # byte-identical once they hold the same completed points.
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, self.path)
@@ -1155,8 +1161,9 @@ class SweepCheckpoint:
 class SweepSupervisor:
     """Fault-tolerance knobs for one supervised sweep.
 
-    Passed to :func:`repro.core.sweep.run_cache_sweep`; the sweep
-    routes its misses through :func:`supervised_simulate_many`, records
+    Passed to :func:`repro.core.sweep.run_cache_sweep` (or
+    :func:`~repro.core.sweep.resolve_points`), which routes the misses
+    through :func:`supervised_simulate_many`, records
     cache quarantines into :attr:`report`, checkpoints completions into
     :attr:`checkpoint`, and — with :attr:`resume` — pre-resolves points
     the manifest already holds (counted in :attr:`resumed`).

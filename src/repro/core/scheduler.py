@@ -38,7 +38,6 @@ __all__ = [
     "ENGINE_REVISION",
     "ENGINE_RUNGS",
     "IDLE",
-    "NO_AFFINITY_ENV",
     "NO_COMPILED_ENV",
     "NO_DISK_CODEGEN_ENV",
     "NO_INLINE_FRONTEND_ENV",
@@ -47,7 +46,6 @@ __all__ = [
     "NO_SPECIALIZE_DISPATCH_ENV",
     "ProgressClock",
     "SeqCounter",
-    "affinity_enabled_default",
     "compiled_enabled_default",
     "disk_codegen_enabled_default",
     "inline_frontend_enabled_default",
@@ -88,11 +86,6 @@ NO_SPECIALIZE_DISPATCH_ENV = "REPRO_NO_SPECIALIZE_DISPATCH"
 #: artifact store (kernel sources and dispatch bundles under
 #: ``.repro_cache/codegen/``); codegen then stays purely in-process.
 NO_DISK_CODEGEN_ENV = "REPRO_NO_DISK_CODEGEN"
-
-#: Environment variable disabling config-affinity batched scheduling of
-#: sweep points; every point then travels as its own pool task, exactly
-#: as before the orchestration layer existed.
-NO_AFFINITY_ENV = "REPRO_NO_AFFINITY"
 
 
 #: The engine-degradation ladder, fastest first.  Every rung produces
@@ -172,15 +165,6 @@ def specialize_dispatch_enabled_default() -> bool:
 def disk_codegen_enabled_default() -> bool:
     """Disk codegen artifacts are on unless ``REPRO_NO_DISK_CODEGEN``."""
     return os.environ.get(NO_DISK_CODEGEN_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-def affinity_enabled_default() -> bool:
-    """Affinity-batched scheduling is on unless ``REPRO_NO_AFFINITY``."""
-    return os.environ.get(NO_AFFINITY_ENV, "").strip().lower() not in (
         "1",
         "true",
         "yes",

@@ -57,8 +57,12 @@ __all__ = [
     "QUARANTINE_MAX_BYTES",
     "SimulationCache",
     "cached_simulate",
+    "clear_quarantine_dir",
     "config_fingerprint",
+    "move_to_quarantine",
     "program_fingerprint",
+    "prune_quarantine_dir",
+    "quarantined_files",
     "result_key",
     "sweep_point_keys",
 ]
@@ -85,6 +89,81 @@ QUARANTINE_DIR = "quarantine"
 #: forensic sample instead of a second, ever-growing cache.
 QUARANTINE_MAX_BYTES = 4 * 1024 * 1024
 QUARANTINE_MAX_AGE_SECONDS = 7 * 24 * 3600.0
+
+
+# ----------------------------------------------------------------------
+# Quarantine directories (shared with the codegen store)
+# ----------------------------------------------------------------------
+def quarantined_files(directory: Path) -> list[Path]:
+    """The blobs in one quarantine directory, sorted by name."""
+    if not directory.is_dir():
+        return []
+    return sorted(directory.glob("*.json"))
+
+
+def move_to_quarantine(
+    path: Path, directory: Path, max_bytes: int, max_age: float
+) -> None:
+    """Move one unverifiable entry aside (best effort, atomic), then
+    enforce the directory's caps with :func:`prune_quarantine_dir`."""
+    target = directory / path.name
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(path, target)
+    except OSError:
+        # Cross-device or permission trouble: delete instead, so the
+        # bad entry at least cannot be re-read forever.
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
+    prune_quarantine_dir(directory, max_bytes, max_age)
+
+
+def prune_quarantine_dir(directory: Path, max_bytes: int, max_age: float) -> int:
+    """Enforce a quarantine's age and size caps; returns removals.
+
+    Entries older than ``max_age`` seconds go first, then the oldest
+    survivors are evicted until the directory's total size fits
+    ``max_bytes``.  Newest blobs are kept — they describe the
+    corruption most likely still under investigation.
+    """
+    import time
+
+    stamped: list[tuple[float, int, Path]] = []
+    for path in quarantined_files(directory):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # deleted underneath us: nothing to prune
+        stamped.append((stat.st_mtime, stat.st_size, path))
+    stamped.sort()  # oldest first
+
+    removed = 0
+    cutoff = time.time() - max_age
+    total = sum(size for _mtime, size, _path in stamped)
+    for mtime, size, path in stamped:
+        if mtime >= cutoff and total <= max_bytes:
+            break  # survivors are younger and the cap is met
+        try:
+            path.unlink(missing_ok=True)
+            removed += 1
+            total -= size
+        except OSError:
+            pass
+    return removed
+
+
+def clear_quarantine_dir(directory: Path) -> int:
+    """Delete every blob in one quarantine; returns the number removed."""
+    removed = 0
+    for path in quarantined_files(directory):
+        try:
+            path.unlink(missing_ok=True)
+            removed += 1
+        except OSError:
+            pass
+    return removed
 
 
 def program_fingerprint(program: Program) -> str:
@@ -263,64 +342,25 @@ class SimulationCache:
         corrupt_stored_entry(path, key)
 
     def _quarantine(self, path: Path) -> None:
-        """Move one unverifiable entry aside (best effort, atomic)."""
-        target = self.root / QUARANTINE_DIR / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:
-            # Cross-device or permission trouble: delete instead, so the
-            # bad entry at least cannot be re-read forever.
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        self.prune_quarantine()
+        """Move one unverifiable entry aside and enforce the caps."""
+        move_to_quarantine(
+            path,
+            self.root / QUARANTINE_DIR,
+            self.quarantine_max_bytes,
+            self.quarantine_max_age,
+        )
 
     def prune_quarantine(self) -> int:
-        """Enforce the quarantine age and size caps; returns removals.
-
-        Entries older than :attr:`quarantine_max_age` seconds go first,
-        then the oldest survivors are evicted until the directory's
-        total size fits :attr:`quarantine_max_bytes`.  Newest blobs are
-        kept — they describe the corruption most likely still under
-        investigation.
-        """
-        import time
-
-        stamped: list[tuple[float, int, Path]] = []
-        for path in self.quarantined_entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # deleted underneath us: nothing to prune
-            stamped.append((stat.st_mtime, stat.st_size, path))
-        stamped.sort()  # oldest first
-
-        removed = 0
-        cutoff = time.time() - self.quarantine_max_age
-        total = sum(size for _mtime, size, _path in stamped)
-        for mtime, size, path in stamped:
-            if mtime >= cutoff and total <= self.quarantine_max_bytes:
-                break  # survivors are younger and the cap is met
-            try:
-                path.unlink(missing_ok=True)
-                removed += 1
-                total -= size
-            except OSError:
-                pass
-        return removed
+        """Enforce the quarantine age and size caps; returns removals."""
+        return prune_quarantine_dir(
+            self.root / QUARANTINE_DIR,
+            self.quarantine_max_bytes,
+            self.quarantine_max_age,
+        )
 
     def clear_quarantine(self) -> int:
         """Delete every quarantined blob; returns the number removed."""
-        removed = 0
-        for path in self.quarantined_entries():
-            try:
-                path.unlink(missing_ok=True)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return clear_quarantine_dir(self.root / QUARANTINE_DIR)
 
     # ------------------------------------------------------------------
     # Management (the ``repro-sim cache`` subcommand)
@@ -334,10 +374,7 @@ class SimulationCache:
 
     def quarantined_entries(self) -> list[Path]:
         """Entries that failed verification and were moved aside."""
-        quarantine = self.root / QUARANTINE_DIR
-        if not quarantine.is_dir():
-            return []
-        return sorted(quarantine.glob("*.json"))
+        return quarantined_files(self.root / QUARANTINE_DIR)
 
     def size_bytes(self) -> int:
         total = 0

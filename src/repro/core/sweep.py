@@ -9,20 +9,21 @@ The sweep is the hot path of the whole reproduction, so it layers two
 optimisations (both off by default and fully deterministic):
 
 * ``jobs`` fans the independent ``(strategy, size)`` points out over
-  worker processes (:mod:`repro.core.parallel`); series come back in
-  the same order with bit-identical cycle counts;
+  worker processes; series come back in the same order with
+  bit-identical cycle counts;
 * ``cache`` consults a content-addressed result store
   (:mod:`repro.core.simcache`) so points shared between experiments —
   or repeated across runs — are never re-simulated.
 
-A third, orthogonal layer makes big sweeps *finish*: passing a
-:class:`~repro.core.resilience.SweepSupervisor` routes cache misses
-through the supervised worker pool (per-point timeouts, bounded
-retries, crashed-pool recovery, the engine-degradation ladder inside
-every worker), records every recovery action — including cache
-quarantines — in the supervisor's
-:class:`~repro.core.resilience.FaultReport`, and checkpoints completed
-points so an interrupted sweep resumes instead of restarting.  The
+Every batch of points resolves through one path, :func:`resolve_points`:
+checkpoint, then cache, then the supervised worker pool
+(:func:`~repro.core.resilience.supervised_simulate_many`).  A third,
+orthogonal layer makes big sweeps *finish*: passing a
+:class:`~repro.core.resilience.SweepSupervisor` turns on per-point
+timeouts, bounded retries and checkpointing on that path, and records
+every recovery action — including cache quarantines — in the
+supervisor's :class:`~repro.core.resilience.FaultReport`.  Without one
+the same path runs with retries, timeout and checkpoint off.  The
 numbers are byte-identical with or without a supervisor.
 """
 
@@ -33,13 +34,13 @@ from typing import Callable, Sequence
 
 from ..asm.program import Program
 from .config import PAPER_CACHE_SIZES, PIPE_CONFIGURATIONS, MachineConfig
-from .parallel import simulate_many
 from .resilience import FaultReport, SweepSupervisor
 from .results import SimulationResult
 from .simcache import SimulationCache, sweep_point_keys
 
 __all__ = [
     "SweepSeries",
+    "resolve_points",
     "standard_strategies",
     "run_cache_sweep",
 ]
@@ -135,69 +136,52 @@ def run_cache_sweep(
                 continue  # cache smaller than this strategy's line size
             points.append((index, size, config))
 
-    resolved: dict[int, SimulationResult] = {}
-    if supervisor is not None:
-        _run_supervised(program, points, cache, supervisor, resolved)
-    else:
-        misses: list[tuple[int, MachineConfig]] = []
-        for point_id, (_index, _size, config) in enumerate(points):
-            hit = cache.lookup(config, program) if cache is not None else None
-            if hit is not None:
-                resolved[point_id] = hit
-            else:
-                misses.append((point_id, config))
-
-        if misses:
-            fresh = simulate_many(
-                program, [config for _, config in misses], jobs=jobs
-            )
-            for (point_id, config), result in zip(misses, fresh):
-                resolved[point_id] = result
-                if cache is not None:
-                    cache.store(config, program, result)
-
-    # Publish any dispatch handlers this process learned while filling
-    # misses (workers flush at their own batch boundaries; the serial
-    # path and the parent's share land here).  No-op when the
-    # persistent store is disabled or nothing new was compiled.
-    from .compiled import flush_codegen_artifacts
-
-    flush_codegen_artifacts()
-
-    report = supervisor.report if supervisor is not None else None
+    results = resolve_points(
+        program,
+        [config for _index, _size, config in points],
+        jobs=jobs,
+        cache=cache,
+        supervisor=supervisor,
+    )
     series = [
         SweepSeries(
             label=label,
             cache_sizes=[],
             cycles=[],
             results=[],
-            fault_report=report,
+            # only a caller's supervisor has a ledger worth attaching
+            fault_report=getattr(supervisor, "report", None),
         )
         for label in labels
     ]
-    for point_id, (index, size, _config) in enumerate(points):
-        result = resolved[point_id]
+    for (index, size, _config), result in zip(points, results):
         series[index].cache_sizes.append(size)
         series[index].cycles.append(result.cycles)
         series[index].results.append(result)
     return series
 
 
-def _run_supervised(
+def resolve_points(
     program: Program,
-    points: list[tuple[int, int, MachineConfig]],
-    cache: SimulationCache | None,
-    supervisor: SweepSupervisor,
-    resolved: dict[int, SimulationResult],
-) -> None:
-    """Resolve every sweep point under the fault supervisor.
+    configs: Sequence[MachineConfig],
+    *,
+    jobs: int | None = 1,
+    cache: SimulationCache | None = None,
+    supervisor: SweepSupervisor | None = None,
+) -> list[SimulationResult]:
+    """Resolve independent simulation points, in ``configs`` order.
 
     Resolution order per point: the checkpoint manifest (``--resume``),
     then the content-addressed cache (quarantines recorded in the
     supervisor's report), then the supervised worker pool.  Completed
     misses are stored to both the cache and the checkpoint as they
-    arrive, so progress survives a crash at any moment.
+    arrive, so progress survives a crash at any moment.  Without a
+    ``supervisor`` the points run over ``jobs`` workers with retries,
+    backoff, timeout and checkpoint off; a point that fails raises
+    :class:`~repro.core.resilience.SweepPointError` once its siblings
+    have finished.
     """
+    supervisor = supervisor or SweepSupervisor(jobs=jobs, max_retries=0, backoff=0)
     report = supervisor.report
     checkpoint = supervisor.checkpoint
     if checkpoint is not None:
@@ -207,8 +191,9 @@ def _run_supervised(
         # Idempotent, so the sweeps of one report share one claim; the
         # caller releases it when the supervised session ends.
         checkpoint.acquire()
-    configs = [config for _index, _size, config in points]
+    configs = list(configs)
     keys = sweep_point_keys(program, configs)
+    resolved: dict[int, SimulationResult] = {}
 
     if cache is not None:
         cache.quarantine_hook = lambda key, reason: report.record(
@@ -251,3 +236,12 @@ def _run_supervised(
             cache.quarantine_hook = None
         if checkpoint is not None:
             checkpoint.flush()
+
+    # Publish any dispatch handlers this process learned while filling
+    # misses (workers flush at their own batch boundaries; the serial
+    # path and the parent's share land here).  No-op when the
+    # persistent store is disabled or nothing new was compiled.
+    from .compiled import flush_codegen_artifacts
+
+    flush_codegen_artifacts()
+    return [resolved[point_id] for point_id in range(len(configs))]

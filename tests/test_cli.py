@@ -375,6 +375,22 @@ class TestCacheQuarantineCli:
         assert (tmp_path / "aaaa.json").exists()
         assert list(qdir.glob("*.json")) == []
 
+    def test_clear_quarantine_empties_the_codegen_quarantine_too(
+        self, capsys, tmp_path
+    ):
+        qdirs = [tmp_path / "quarantine", tmp_path / "codegen" / "quarantine"]
+        for qdir in qdirs:
+            qdir.mkdir(parents=True)
+            (qdir / "bad.json").write_text("{torn")
+        assert main(
+            ["cache", "clear", "--quarantine", "--cache-dir", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.count("removed 1 quarantined entry") == 2
+        assert str(qdirs[1]) in out
+        for qdir in qdirs:
+            assert list(qdir.glob("*.json")) == []
+
     def test_clear_quarantine_empty(self, capsys, tmp_path):
         assert main(
             ["cache", "clear", "--quarantine", "--cache-dir", str(tmp_path)]

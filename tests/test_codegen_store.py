@@ -10,7 +10,7 @@ process warm-starts from artifacts a previous one published, and the
 And the warm-fleet orchestration (``repro.core.parallel`` /
 ``repro.core.resilience``): config-affinity batching is a pure
 scheduling optimisation — results, reports, and checkpoint manifests
-are byte-identical to the serial and unbatched paths, including when a
+are byte-identical to the serial per-point path, including when a
 worker is killed mid-batch.
 """
 
@@ -35,11 +35,7 @@ from repro.core.compiled import (
 )
 from repro.core.config import MachineConfig
 from repro.core.faults import FaultPlan
-from repro.core.parallel import (
-    affinity_batches,
-    config_affinity_key,
-    simulate_many,
-)
+from repro.core.parallel import affinity_batches, config_affinity_key
 from repro.core.resilience import (
     FaultReport,
     SweepCheckpoint,
@@ -201,6 +197,47 @@ class TestQuarantine:
 # ----------------------------------------------------------------------
 # Disk integration of the compiled engine
 # ----------------------------------------------------------------------
+    @staticmethod
+    def _corrupt_entries(tmp_path, count: int, size: int) -> CodegenStore:
+        """Publish ``count`` kernel entries, overwrite each with ``size``
+        bytes of garbage, and load each once (quarantining it)."""
+        store = CodegenStore(tmp_path)
+        code = compile("x = 1\n", "<k>", "exec")
+        for index in range(count):
+            store.store_kernel(f"k{index}", "x = 1\n", code)
+        for entry in store.entries():
+            entry.write_text("{" * size)
+        for index in range(count):
+            assert store.load_kernel(f"k{index}") is None
+        assert store.stats.quarantined == count
+        return store
+
+    def test_many_corrupt_entries_leave_a_capped_quarantine(self, tmp_path):
+        """The codegen quarantine obeys the simulation cache's byte cap."""
+        from repro.core.simcache import QUARANTINE_MAX_BYTES
+
+        count = 24  # 6 MiB of corrupt entries against a 4 MiB cap
+        store = self._corrupt_entries(tmp_path, count, 256 * 1024)
+        sizes = [path.stat().st_size for path in store.quarantined_entries()]
+        assert 0 < len(sizes) < count
+        assert sum(sizes) <= QUARANTINE_MAX_BYTES
+
+    def test_stale_quarantined_entries_age_out(self, tmp_path):
+        import os
+
+        from repro.core.simcache import QUARANTINE_MAX_AGE_SECONDS
+
+        store = self._corrupt_entries(tmp_path, 1, 16)
+        (stale,) = store.quarantined_entries()
+        old = stale.stat().st_mtime - QUARANTINE_MAX_AGE_SECONDS - 60
+        os.utime(stale, (old, old))
+        store.store_kernel("fresh", "x = 1\n", compile("x = 1\n", "<k>", "exec"))
+        (entry,) = store.entries()
+        entry.write_text("{ not json")
+        assert store.load_kernel("fresh") is None
+        assert [path.name for path in store.quarantined_entries()] == [entry.name]
+
+
 class TestDiskWarmStart:
     def test_cold_then_warm_process_hits_disk_and_matches(
         self, disk_store, tiny_program
@@ -339,30 +376,46 @@ def _matrix() -> list[MachineConfig]:
     ]
 
 
+def _unsupervised(program, configs, jobs):
+    return supervised_simulate_many(
+        program, configs, jobs=jobs, max_retries=0, backoff=0
+    )
+
+
 class TestBatchedDifferential:
     def test_batched_pool_matches_serial(self, tiny_program):
-        serial = simulate_many(tiny_program, _matrix(), jobs=1)
-        batched = simulate_many(tiny_program, _matrix(), jobs=2)
+        serial = _unsupervised(tiny_program, _matrix(), jobs=1)
+        batched = _unsupervised(tiny_program, _matrix(), jobs=2)
         assert batched == serial
 
     def test_batched_pool_with_disk_store_matches_serial(
         self, disk_store, tiny_program
     ):
         """Workers + parent priming + persistent store change nothing."""
-        serial = simulate_many(tiny_program, _matrix(), jobs=1)
+        serial = _unsupervised(tiny_program, _matrix(), jobs=1)
         clear_compile_cache()
-        batched = simulate_many(tiny_program, _matrix(), jobs=2)
+        batched = _unsupervised(tiny_program, _matrix(), jobs=2)
         assert batched == serial
         assert disk_store.entries()  # the fleet actually published
 
-    def test_affinity_hatch_matches_too(self, tiny_program, monkeypatch):
-        serial = simulate_many(tiny_program, _matrix(), jobs=1)
-        monkeypatch.setenv("REPRO_NO_AFFINITY", "1")
-        unbatched = simulate_many(tiny_program, _matrix(), jobs=2)
-        assert unbatched == serial
+    def test_affinity_hatch_matches_too(self, tiny_program):
+        """The per-point path (``jobs=1``, what the removed affinity
+        hatch forced) and affinity batches (``jobs=2``) agree on the
+        results and on which rung served every point."""
+        serial_report, batched_report = FaultReport(), FaultReport()
+        serial = supervised_simulate_many(
+            tiny_program, _matrix(), jobs=1, max_retries=0, backoff=0,
+            report=serial_report,
+        )
+        batched = supervised_simulate_many(
+            tiny_program, _matrix(), jobs=2, max_retries=0, backoff=0,
+            report=batched_report,
+        )
+        assert batched == serial
+        assert batched_report.rungs == serial_report.rungs
 
     def test_supervised_batched_matches_serial(self, tiny_program):
-        serial = simulate_many(tiny_program, _matrix(), jobs=1)
+        serial = _unsupervised(tiny_program, _matrix(), jobs=1)
         report = FaultReport()
         supervised = supervised_simulate_many(
             tiny_program, _matrix(), jobs=2, report=report
@@ -371,8 +424,10 @@ class TestBatchedDifferential:
         assert report.clean
 
     def test_checkpoint_manifest_bytes_identical_with_and_without_affinity(
-        self, tiny_program, tmp_path, monkeypatch
+        self, tiny_program, tmp_path
     ):
+        """Affinity batches (``jobs=2``) and the per-point path
+        (``jobs=1``) publish byte-identical manifests."""
         strategies = {
             "PIPE 16-16": lambda size, **o: MachineConfig.pipe("16-16", size, **o),
             "conventional": lambda size, **o: MachineConfig.conventional(
@@ -381,9 +436,9 @@ class TestBatchedDifferential:
         }
         memory = {"memory_access_time": 6, "input_bus_width": 8}
 
-        def run(path):
+        def run(path, jobs):
             supervisor = SweepSupervisor(
-                jobs=2, checkpoint=SweepCheckpoint(path, interval=100)
+                jobs=jobs, checkpoint=SweepCheckpoint(path, interval=100)
             )
             series = run_cache_sweep(
                 tiny_program,
@@ -394,9 +449,8 @@ class TestBatchedDifferential:
             )
             return [s.as_dict() for s in series]
 
-        with_affinity = run(tmp_path / "on.json")
-        monkeypatch.setenv("REPRO_NO_AFFINITY", "1")
-        without_affinity = run(tmp_path / "off.json")
+        with_affinity = run(tmp_path / "on.json", jobs=2)
+        without_affinity = run(tmp_path / "off.json", jobs=1)
         assert with_affinity == without_affinity
         assert (tmp_path / "on.json").read_bytes() == (
             tmp_path / "off.json"
@@ -411,7 +465,7 @@ class TestKillMidBatch:
         configs = _matrix()
         # worker_kill only fires inside pool workers, so the serial
         # reference is safe to compute after arming.
-        serial = simulate_many(tiny_program, configs, jobs=1)
+        serial = _unsupervised(tiny_program, configs, jobs=1)
         faults.activate(FaultPlan(seed=11, worker_kill=1.0))
         report = FaultReport()
         survived = supervised_simulate_many(

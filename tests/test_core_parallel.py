@@ -1,20 +1,35 @@
 """Tests of the parallel simulation fan-out."""
 
 import os
-import warnings
 
 import pytest
 
+from repro.asm import assemble
 from repro.core.config import MachineConfig
-from repro.core.parallel import (
-    JOBS_ENV,
-    ItemOutcome,
-    parallel_map,
-    parallel_map_outcomes,
-    resolve_jobs,
-    simulate_many,
+from repro.core.parallel import JOBS_ENV, resolve_jobs
+from repro.core.resilience import (
+    SweepPointError,
+    supervised_map,
+    supervised_simulate_many,
 )
-from repro.core.simulator import simulate
+from repro.core.simcache import sweep_point_keys
+from repro.core.simulator import DeadlockError, simulate
+from repro.core.sweep import run_cache_sweep
+
+#: Two SDQ pushes ahead of their store addresses: with a one-entry SDQ
+#: the second push stalls forever in front of the stores that would
+#: drain it, so only the ``sdq_capacity=1`` machine deadlocks.
+SDQ_OVERRUN = """
+    li r1, 64
+    add r7, r0, r0
+    add r7, r0, r0
+    st r1, 0
+    st r1, 4
+    halt
+"""
+
+#: the unsupervised settings: retries, backoff and timeout off
+UNSUPERVISED = {"max_retries": 0, "backoff": 0}
 
 
 def _square(x: int) -> int:
@@ -51,28 +66,32 @@ class TestResolveJobs:
 
 
 class TestParallelMap:
+    """The unsupervised map: ``supervised_map`` with retries off."""
+
     def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
+        assert supervised_map(_square, [1, 2, 3], jobs=1, **UNSUPERVISED) == [
+            1,
+            4,
+            9,
+        ]
 
     def test_parallel_preserves_input_order(self):
         items = list(range(20))
-        assert parallel_map(_square, items, jobs=2) == [x * x for x in items]
+        assert supervised_map(_square, items, jobs=2, **UNSUPERVISED) == [
+            x * x for x in items
+        ]
 
     def test_empty_input(self):
-        assert parallel_map(_square, [], jobs=4) == []
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2)
-        assert result == [2, 3, 4]
+        assert supervised_map(_square, [], jobs=4, **UNSUPERVISED) == []
 
     def test_exceptions_propagate(self):
         def boom(x):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(boom, [1], jobs=1)
+        with pytest.raises(SweepPointError, match="boom") as excinfo:
+            supervised_map(boom, [1], jobs=1, **UNSUPERVISED)
+        ((_label, error),) = excinfo.value.failures
+        assert isinstance(error, RuntimeError)
 
 
 class TestParallelMapOutcomes:
@@ -80,43 +99,23 @@ class TestParallelMapOutcomes:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_item_keeps_its_siblings(self, jobs):
-        outcomes = parallel_map_outcomes(
-            _square_unless_three, list(range(6)), jobs=jobs
-        )
-        assert [o.ok for o in outcomes] == [True, True, True, False, True, True]
-        assert [o.value for o in outcomes if o.ok] == [0, 1, 4, 16, 25]
-        assert isinstance(outcomes[3].error, ValueError)
-
-    def test_unwrap_returns_or_reraises(self):
-        good, bad = parallel_map_outcomes(
-            _square_unless_three, [2, 3], jobs=1
-        )
-        assert good.unwrap() == 4
-        with pytest.raises(ValueError, match="three"):
-            bad.unwrap()
+        delivered = {}
+        with pytest.raises(SweepPointError) as excinfo:
+            supervised_map(
+                _square_unless_three,
+                list(range(6)),
+                jobs=jobs,
+                **UNSUPERVISED,
+                on_result=delivered.__setitem__,
+            )
+        assert sorted(delivered) == [0, 1, 2, 4, 5]
+        assert [delivered[i] for i in sorted(delivered)] == [0, 1, 4, 16, 25]
+        ((label, error),) = excinfo.value.failures
+        assert label == "3"
+        assert isinstance(error, ValueError)
 
     def test_empty_input(self):
-        assert parallel_map_outcomes(_square, [], jobs=4) == []
-
-    def test_all_successes_match_parallel_map(self):
-        items = list(range(10))
-        outcomes = parallel_map_outcomes(_square, items, jobs=2)
-        assert [o.unwrap() for o in outcomes] == parallel_map(
-            _square, items, jobs=2
-        )
-
-    def test_unpicklable_fn_falls_back_with_capture_intact(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            outcomes = parallel_map_outcomes(
-                lambda x: 1 // x, [1, 0, 2], jobs=2
-            )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert isinstance(outcomes[1].error, ZeroDivisionError)
-
-    def test_outcome_defaults(self):
-        outcome = ItemOutcome(value=5)
-        assert outcome.ok and outcome.unwrap() == 5
+        assert supervised_map(_square, [], jobs=4, **UNSUPERVISED) == []
 
 
 class TestSimulateMany:
@@ -129,8 +128,12 @@ class TestSimulateMany:
             MachineConfig.pipe("32-32", 128, **memory),
             MachineConfig.conventional(128, **memory),
         ]
-        serial = simulate_many(tiny_program, configs, jobs=1)
-        parallel = simulate_many(tiny_program, configs, jobs=2)
+        serial = supervised_simulate_many(
+            tiny_program, configs, jobs=1, **UNSUPERVISED
+        )
+        parallel = supervised_simulate_many(
+            tiny_program, configs, jobs=2, **UNSUPERVISED
+        )
         assert [r.cycles for r in serial] == [r.cycles for r in parallel]
         assert serial == parallel
 
@@ -139,7 +142,58 @@ class TestSimulateMany:
             MachineConfig.conventional(size, memory_access_time=1)
             for size in (32, 64, 128)
         ]
-        results = simulate_many(tiny_program, configs, jobs=2)
+        results = supervised_simulate_many(
+            tiny_program, configs, jobs=2, **UNSUPERVISED
+        )
         for config, result in zip(configs, results):
             assert result.config == config
             assert result == simulate(config, tiny_program)
+
+
+class TestFailingPoint:
+    """A point that fails surfaces after its siblings have finished."""
+
+    CAPACITIES = (8, 1, 4, 2)  # only the second point deadlocks
+
+    def _configs(self):
+        return [
+            MachineConfig.pipe("16-16", 128, sdq_capacity=capacity)
+            for capacity in self.CAPACITIES
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadlock_raises_sweep_point_error_after_siblings(self, jobs):
+        program = assemble(SDQ_OVERRUN)
+        configs = self._configs()
+        keys = sweep_point_keys(program, configs)
+        delivered = []
+        with pytest.raises(SweepPointError) as excinfo:
+            supervised_simulate_many(
+                program,
+                configs,
+                jobs=jobs,
+                **UNSUPERVISED,
+                on_result=lambda index, result: delivered.append(index),
+            )
+        assert sorted(delivered) == [0, 2, 3]
+        ((label, error),) = excinfo.value.failures
+        assert label == keys[1][:12]
+        assert isinstance(error, DeadlockError)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unsupervised_sweep_surfaces_the_failure(self, jobs):
+        program = assemble(SDQ_OVERRUN)
+        strategies = {
+            f"sdq{capacity}": (
+                lambda size, _capacity=capacity, **o: MachineConfig.pipe(
+                    "16-16", size, sdq_capacity=_capacity, **o
+                )
+            )
+            for capacity in self.CAPACITIES
+        }
+        with pytest.raises(SweepPointError) as excinfo:
+            run_cache_sweep(
+                program, cache_sizes=[128], strategies=strategies, jobs=jobs
+            )
+        ((_label, error),) = excinfo.value.failures
+        assert isinstance(error, DeadlockError)

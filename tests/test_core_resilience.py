@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.parallel import simulate_many
 from repro.core.resilience import (
     BreakerBoard,
     CheckpointLockError,
@@ -234,7 +233,9 @@ class TestSupervisedSimulateMany:
                 128, memory_access_time=6, input_bus_width=8
             ),
         ]
-        plain = simulate_many(tiny_program, configs, jobs=1)
+        plain = supervised_simulate_many(
+            tiny_program, configs, jobs=1, max_retries=0, backoff=0
+        )
         report = FaultReport()
         supervised = supervised_simulate_many(
             tiny_program, configs, jobs=2, report=report
@@ -296,11 +297,33 @@ class TestSupervisedSweep:
         )
         assert [s.cycles for s in supervised] == [s.cycles for s in plain]
         assert all(s.fault_report is supervisor.report for s in supervised)
+        assert all(s.fault_report is None for s in plain)
         assert supervisor.report.clean
         # every completed point was checkpointed
         assert len(supervisor.checkpoint) == sum(
             len(s.cycles) for s in supervised
         )
+
+    def test_experiment_points_run_under_the_context_supervisor(
+        self, tiny_program, tmp_path
+    ):
+        """``--supervised`` covers an experiment's ad-hoc points too."""
+        from repro.analysis.experiments import ExperimentContext
+
+        supervisor = SweepSupervisor(
+            jobs=1, checkpoint=SweepCheckpoint(tmp_path / "ck.json")
+        )
+        context = ExperimentContext(program=tiny_program, supervisor=supervisor)
+        configs = [
+            _pipe(),
+            MachineConfig.conventional(
+                128, memory_access_time=6, input_bus_width=8
+            ),
+        ]
+        results = context.simulate_many(configs)
+        assert results == [simulate(config, tiny_program) for config in configs]
+        assert sum(supervisor.report.rungs.values()) == len(configs)
+        assert len(supervisor.checkpoint) == len(configs)
 
     def test_resume_pre_resolves_from_the_checkpoint(
         self, tiny_program, tmp_path
