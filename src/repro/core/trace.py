@@ -54,6 +54,19 @@ Event vocabulary (``component`` / ``kind`` / payload fields)::
 All payload values are ints, bools, or short strings — never floats or
 wall-clock data — so a trace of a deterministic run is byte-identical
 across processes, platforms, and serial/parallel execution.
+
+A JSONL line is the record ``{"c": cycle, "o": component, "k": kind,
+...payload}`` written exactly as ``json.dumps(record, separators=(",",
+":"))`` writes it.  Building that dict and walking it through
+``json.dumps`` for every event dominated traced runs, so
+:class:`JsonLinesSink` encodes through one generated encoder per event
+*shape* — ``(component, kind, *field names)`` — instead: the shape's
+skeleton is pre-encoded into a single %-format string and each value is
+dispatched on its exact type (``int`` → decimal, ``bool`` →
+``true``/``false``, ``str`` → the C string encoder ``json.dumps`` itself
+uses, anything else → ``json.dumps``).  Encoders are generated lazily,
+the first time a shape is emitted, and the output is byte-identical to
+the dict path for every record ``json.dumps`` accepts.
 """
 
 from __future__ import annotations
@@ -63,8 +76,9 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "JsonLinesSink",
@@ -141,6 +155,71 @@ NULL_TRACER = Tracer()
 # ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------
+_SEPARATORS = (",", ":")
+
+#: Field names the record header already uses.  ``record.update`` would
+#: overwrite those header values in place, so shapes with such a field
+#: keep the dict path.
+_HEADER_KEYS = frozenset(("c", "o", "k"))
+
+#: ``(component, kind, *field names)`` → ``encode(cycle, fields)``,
+#: filled the first time a sink emits each shape.  Shared by every sink
+#: in the process: an encoder depends on nothing but its key.
+_ENCODERS: dict[tuple, Callable[[object, Mapping], str]] = {}
+
+
+def _encode_value(value) -> str:
+    """A payload value as ``json.dumps`` writes it inside a record."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is str:
+        return _encode_str(value)
+    return json.dumps(value, separators=_SEPARATORS)
+
+
+def _encode_record(cycle, component, kind, fields: Mapping) -> str:
+    """The reference encoding: the record dict through ``json.dumps``."""
+    record = {"c": cycle, "o": component, "k": kind}
+    record.update(fields)
+    return json.dumps(record, separators=_SEPARATORS) + "\n"
+
+
+def _shape_encoder(component, kind, names: tuple) -> Callable[[object, Mapping], str]:
+    """The encoder of one event shape, generated and cached on first use.
+
+    The skeleton ``{"c":%s,"o":<component>,"k":<kind>,<name>:%s,...}``
+    is pre-encoded once (``%`` in names escaped); the generated function
+    unpacks the payload values in order and formats each exact ``int``
+    directly, every other value through :func:`_encode_value`.  Shapes
+    whose labels are not exact strings get the dict path uncached: equal
+    keys such as ``1`` and ``True`` would share one entry but encode
+    differently.
+    """
+    def by_dict(cycle, fields: Mapping) -> str:
+        return _encode_record(cycle, component, kind, fields)
+
+    if not all(type(label) is str for label in (component, kind, *names)):
+        return by_dict
+    if _HEADER_KEYS.intersection(names):
+        encode = by_dict
+    else:
+        def literal(text: str) -> str:
+            return _encode_str(text).replace("%", "%%")
+
+        skeleton = '{"c":%s,"o":' + literal(component) + ',"k":' + literal(kind)
+        skeleton += "".join(f",{literal(name)}:%s" for name in names) + "}\n"
+        values = [f"v{index}" for index in range(len(names))]
+        operands = "".join(f"{v} if type({v}) is int else value({v}), " for v in ("c", *values))
+        unpack = f"    {', '.join(values)}, = fields.values()\n" if values else ""
+        namespace = {"SKELETON": skeleton, "value": _encode_value}
+        exec(f"def encode(c, fields):\n{unpack}    return SKELETON % ({operands})\n", namespace)
+        encode = namespace["encode"]
+    _ENCODERS[(component, kind, *names)] = encode
+    return encode
+
+
 class JsonLinesSink(TraceSink):
     """Writes one canonical JSON object per event line.
 
@@ -148,8 +227,12 @@ class JsonLinesSink(TraceSink):
     ...payload}`` with insertion-ordered keys and compact separators, so
     a deterministic run always serialises to byte-identical output —
     the property the golden-trace and serial-vs-parallel identity tests
-    rely on.  Accepts a path (file owned and closed by the sink) or an
-    open text stream (caller keeps ownership).
+    rely on.  Each line is produced by the cached encoder of its event
+    shape (see the module docstring) and is byte-identical to
+    ``json.dumps(record, separators=(",", ":"))`` plus a newline; a
+    value ``json.dumps`` rejects raises before anything is written.
+    Accepts a path (file owned and closed by the sink) or an open text
+    stream (caller keeps ownership).
     """
 
     def __init__(self, target: str | os.PathLike | io.TextIOBase):
@@ -162,10 +245,10 @@ class JsonLinesSink(TraceSink):
         self.events_written = 0
 
     def emit(self, cycle: int, component: str, kind: str, fields: Mapping) -> None:
-        record = {"c": cycle, "o": component, "k": kind}
-        record.update(fields)
-        self._file.write(json.dumps(record, separators=(",", ":")))
-        self._file.write("\n")
+        encode = _ENCODERS.get((component, kind, *fields))
+        if encode is None:
+            encode = _shape_encoder(component, kind, tuple(fields))
+        self._file.write(encode(cycle, fields))
         self.events_written += 1
 
     def close(self) -> None:

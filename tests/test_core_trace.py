@@ -1,20 +1,74 @@
 """Unit tests for the trace layer primitives (repro.core.trace)."""
 
+import enum
 import io
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.asm import assemble
+from repro.core.config import MachineConfig
+from repro.core.simulator import DeadlockError, simulate_traced
 from repro.core.trace import (
     NULL_TRACER,
     JsonLinesSink,
     MetricsSink,
     RingBufferSink,
     TraceMetrics,
+    TraceSink,
     Tracer,
     merge_trace_files,
     read_trace,
+)
+from repro.kernels.suite import build_livermore_program
+
+
+def _dumps_line(cycle, component, kind, fields) -> str:
+    """The oracle: the record dict through ``json.dumps``."""
+    record = {"c": cycle, "o": component, "k": kind}
+    record.update(fields)
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _sink_lines(events) -> str:
+    stream = io.StringIO()
+    sink = JsonLinesSink(stream)
+    for event in events:
+        sink.emit(*event)
+    sink.close()
+    return stream.getvalue()
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Label(str):
+    """A ``str`` subclass: encoded like a plain string."""
+
+
+#: Labels that stress the pre-encoded skeleton: quotes, backslashes,
+#: control characters, non-ASCII, %-format and str.format syntax, and
+#: the header keys a payload may collide with.
+_labels = st.text(max_size=6) | st.sampled_from(
+    ["c", "o", "k", "%", "%s", "{", "}", '"', "\\", "\x00", "\n", "\u00e9", "\u2603"]
+)
+_scalars = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _labels,
+    _labels.map(_Label),
+    st.sampled_from(_Level),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_labels, inner, max_size=3),
+    max_leaves=6,
 )
 
 
@@ -85,6 +139,122 @@ class TestJsonLinesSink:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"c":0,"o":"a","k":"b"}\n\n{"c":1,"o":"a","k":"b"}\n')
         assert len(list(read_trace(path))) == 2
+
+    def test_header_key_fields_overwrite_in_place(self):
+        events = [(4, "a", "b", {"x": 1, "c": 9}), (5, "a", "b", {"o": "p"})]
+        assert _sink_lines(events) == (
+            '{"c":9,"o":"a","k":"b","x":1}\n{"c":5,"o":"p","k":"b"}\n'
+        )
+
+    def test_equal_non_string_labels_keep_their_own_encoding(self):
+        # 1 == True == 1.0, so these shapes are equal as tuples yet
+        # json.dumps writes each label differently.
+        events = [
+            (0, 1, "k", {}),
+            (1, True, "k", {}),
+            (2, 1.0, "k", {}),
+            (3, "x", "k", {1: "a"}),
+            (4, "x", "k", {True: "b"}),
+        ]
+        assert _sink_lines(events) == "".join(_dumps_line(*e) for e in events)
+
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(),
+                _labels,
+                _labels,
+                st.dictionaries(_labels, _values, max_size=4),
+            ),
+            max_size=6,
+        )
+    )
+    def test_matches_json_dumps_for_any_record(self, events):
+        """Property: every line equals the record through ``json.dumps``."""
+        assert _sink_lines(events) == "".join(_dumps_line(*e) for e in events)
+
+    @given(
+        component=_labels,
+        kind=_labels,
+        names=st.lists(_labels, min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_one_shape_with_values_of_every_type(self, component, kind, names, data):
+        """Property: a shape's cached encoder holds for any value types."""
+        rows = data.draw(
+            st.lists(st.tuples(*[_values] * len(names)), min_size=2, max_size=6)
+        )
+        events = [
+            (cycle, component, kind, dict(zip(names, row)))
+            for cycle, row in enumerate(rows)
+        ]
+        assert _sink_lines(events) == "".join(_dumps_line(*e) for e in events)
+
+
+class _DictJsonSink(TraceSink):
+    """The plain JSONL path: each record dict through ``json.dumps``."""
+
+    def __init__(self, path):
+        self._file = open(path, "w", encoding="utf-8", newline="\n")
+
+    def emit(self, cycle, component, kind, fields):
+        self._file.write(_dumps_line(cycle, component, kind, fields))
+
+    def close(self):
+        self._file.close()
+
+
+#: Two SDQ pushes ahead of their store addresses: a one-entry SDQ
+#: deadlocks (the failing point of tests/test_core_parallel.py).
+_SDQ_OVERRUN = """
+    li r1, 64
+    add r7, r0, r0
+    add r7, r0, r0
+    st r1, 0
+    st r1, 4
+    halt
+"""
+
+
+class TestWholeRunIdentity:
+    """Whole simulations write the same bytes as the ``json.dumps`` path."""
+
+    RUNGS = {
+        "reference": {"skip": False, "replay": False, "compiled": False},
+        "compiled": {"skip": True, "replay": True, "compiled": True},
+    }
+    CONFIGS = {
+        "pipe": lambda: MachineConfig.pipe("16-16", 128, memory_access_time=6),
+        "conventional": lambda: MachineConfig.conventional(128, memory_access_time=6),
+        "tib": lambda: MachineConfig.tib(memory_access_time=6),
+    }
+
+    @pytest.mark.parametrize("rung", sorted(RUNGS))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_trace_matches_dict_path(self, tmp_path, config, rung):
+        program = build_livermore_program(scale=0.05, loops=(3,))
+        encoded, oracle = tmp_path / "encoded.jsonl", tmp_path / "oracle.jsonl"
+        simulate_traced(
+            self.CONFIGS[config](),
+            program,
+            encoded,
+            sinks=(_DictJsonSink(oracle),),
+            **self.RUNGS[rung],
+        )
+        assert encoded.stat().st_size > 0
+        assert encoded.read_bytes() == oracle.read_bytes()
+
+    def test_partial_trace_of_a_deadlock_matches(self, tmp_path):
+        encoded, oracle = tmp_path / "encoded.jsonl", tmp_path / "oracle.jsonl"
+        with pytest.raises(DeadlockError):
+            simulate_traced(
+                MachineConfig.pipe("16-16", 128, sdq_capacity=1),
+                assemble(_SDQ_OVERRUN),
+                encoded,
+                sinks=(_DictJsonSink(oracle),),
+            )
+        assert encoded.stat().st_size > 0
+        assert encoded.read_bytes() == oracle.read_bytes()
 
 
 class TestRingBufferSink:
